@@ -42,11 +42,8 @@ func (f *gridFabric) NodeLoad(node string) (float64, bool) {
 	}
 	if f.g.telemetry.Enabled() {
 		db := f.g.telemetry.DB()
-		for _, key := range []string{
-			"node.predicted_load{node=" + node + "}",
-			"node.load{node=" + node + "}",
-		} {
-			if s := db.Lookup(key); s != nil && s.Len() > 0 {
+		for _, name := range [...]string{"node.predicted_load", "node.load"} {
+			if s := db.Find(name, telemetry.L("node", node)); s != nil && s.Len() > 0 {
 				return s.Last().V, true
 			}
 		}

@@ -14,7 +14,7 @@ import (
 // testbed builds the paper's deployment: a front end, two compute nodes
 // and a data server on one site's LAN, and an image server across a WAN
 // (Northwestern / Florida in Table 1's caption).
-func testbed(t *testing.T) *Grid {
+func testbed(t testing.TB) *Grid {
 	t.Helper()
 	g := NewGrid(1)
 	add := func(cfg NodeConfig) *Node {

@@ -15,13 +15,26 @@ import (
 // information service carry the *predicted* load — so FindFutures ranks
 // placements by where load is going, not just where it is.
 type Monitor struct {
-	grid     *Grid
-	interval sim.Duration
-	sensors  map[string]*rps.Sensor
-	models   map[string]*rps.AR
-	running  bool
-	next     sim.EventID
-	ticks    int
+	grid      *Grid
+	interval  sim.Duration
+	nodes     []string // monitored compute nodes, name-sorted
+	sensors   map[string]*rps.Sensor
+	forecasts map[string]*forecast
+	history   []float64 // reused training buffer
+	running   bool
+	next      sim.EventID
+	ticks     int
+}
+
+// forecast is one node's AR model and its latest prediction, fitted at
+// the sensor's samples-th sample. A forecast depends only on the sensor
+// history, so it is refitted once per sample however many readers (the
+// monitor tick, the telemetry scrape, placement, the balancer) ask.
+type forecast struct {
+	ar      *rps.AR
+	fitted  bool
+	samples uint64
+	load    float64
 }
 
 // StartMonitor begins sampling every compute node at the given interval
@@ -31,12 +44,15 @@ func (g *Grid) StartMonitor(interval sim.Duration) (*Monitor, error) {
 		return nil, fmt.Errorf("core: monitor interval %v", interval)
 	}
 	m := &Monitor{
-		grid:     g,
-		interval: interval,
-		sensors:  make(map[string]*rps.Sensor),
-		models:   make(map[string]*rps.AR),
+		grid:      g,
+		interval:  interval,
+		sensors:   make(map[string]*rps.Sensor),
+		forecasts: make(map[string]*forecast),
 	}
-	for name, node := range g.nodes {
+	// Name order, so sensors arm their kernel events and ticks stamp
+	// their quorum writes identically on every run.
+	for _, name := range g.NodeNames() {
+		node := g.nodes[name]
 		if node.gk == nil {
 			continue
 		}
@@ -57,8 +73,9 @@ func (g *Grid) StartMonitor(interval sim.Duration) (*Monitor, error) {
 		sensor.Tee(func(at sim.Time, v float64) {
 			g.telemetry.Record("node.load_sample", v, telemetry.L("node", nodeName))
 		})
+		m.nodes = append(m.nodes, name)
 		m.sensors[name] = sensor
-		m.models[name] = ar
+		m.forecasts[name] = &forecast{ar: ar}
 		sensor.Start()
 	}
 	m.running = true
@@ -81,16 +98,26 @@ func (m *Monitor) Stop() {
 }
 
 // PredictedLoad returns the current forecast for a node (falls back to
-// the last sample until the model has enough history).
+// the last sample until the model has enough history). The model is
+// refitted only when the sensor has taken a sample since the last fit.
 func (m *Monitor) PredictedLoad(node string) float64 {
 	sensor, ok := m.sensors[node]
 	if !ok {
 		return 0
 	}
-	series := sensor.Series()
-	model := m.models[node]
+	f := m.forecasts[node]
+	if n := sensor.Samples(); !f.fitted || f.samples != n {
+		f.load = m.fit(sensor.Series(), f.ar)
+		f.fitted, f.samples = true, n
+	}
+	return f.load
+}
+
+// fit trains model on series and returns its one-step forecast.
+func (m *Monitor) fit(series *rps.Series, model *rps.AR) float64 {
 	if series.Len() >= 32 {
-		if err := model.Train(series.Values()); err == nil {
+		m.history = series.AppendValues(m.history[:0])
+		if err := model.Train(m.history); err == nil {
 			p := model.Predict()
 			if p < 0 {
 				p = 0
@@ -108,10 +135,8 @@ func (m *Monitor) tick() {
 		return
 	}
 	m.ticks++
-	for name, node := range m.grid.nodes {
-		if node.gk == nil {
-			continue
-		}
+	for _, name := range m.nodes {
+		node := m.grid.nodes[name]
 		spec := node.host.Spec()
 		_ = m.grid.info.Register(gis.KindVMFuture, name, map[string]any{
 			gis.AttrSite:      node.site,

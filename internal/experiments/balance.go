@@ -278,7 +278,7 @@ func balanceRun(seed uint64, demands []float64, placer placement.Placer, balance
 	minMean, maxMean := 0.0, 0.0
 	for i, n := range computes {
 		mean := 0.0
-		if s := db.Lookup("node.load{node=" + n + "}"); s != nil && s.Len() > 0 {
+		if s := db.Find("node.load", telemetry.L("node", n)); s != nil && s.Len() > 0 {
 			mean = s.Window(0).Mean
 		}
 		if i == 0 || mean < minMean {

@@ -45,27 +45,39 @@ func (a Stamp) After(b Stamp) bool {
 	return a.Origin > b.Origin
 }
 
-// stamped is one replica's metadata for a key: the stamp of the value
-// it currently holds, and whether that value is a tombstone.
+// version is one committed write of a key: its stamp, whether it is a
+// tombstone, and the record it carries. Versions are immutable once
+// made, so every replica that adopts a write, and every gossip snapshot
+// in flight, shares the one copy by pointer.
+type version struct {
+	id  int32 // cluster key id
+	st  Stamp
+	del bool
+	e   Entry // zero-valued for tombstones
+}
+
+// stamped is the part of a version that reconciliation compares.
 type stamped struct {
 	st  Stamp
 	del bool
 }
 
 // Replica is one member of a Cluster: a Service pinned to a network
-// node, plus the per-key stamps that anti-entropy reconciles on.
+// node, plus the per-key versions that anti-entropy reconciles on.
 type Replica struct {
 	Svc  *Service
 	Node string
 
-	meta map[string]stamped
-}
-
-// gossipEntry is one record in flight between replicas.
-type gossipEntry struct {
-	key string
-	stamped
-	e Entry // zero-valued for tombstones
+	// meta holds the adopted version per key, indexed by the cluster's
+	// key id; nil marks a key the replica has never seen.
+	meta []*version
+	// live counts the non-tombstone versions in meta. Every one of them
+	// has its record in Svc.records unless Service.Expire dropped it.
+	live int
+	// newest is the largest stamp in meta. Entries are only ever
+	// replaced by newer stamps, never deleted, so it moves forward in
+	// install and never needs a rescan.
+	newest Stamp
 }
 
 // Modeled wire cost of anti-entropy traffic.
@@ -86,6 +98,12 @@ type Cluster struct {
 	k    *sim.Kernel
 	net  *netsim.Network
 	reps []*Replica
+
+	// Keys are interned to dense ids on first write, so anti-entropy
+	// reconciles by slice index instead of hashing every key of every
+	// snapshot on every replica.
+	ids  map[string]int32
+	keys []string
 
 	seq            uint64
 	gossipEvery    sim.Duration
@@ -119,7 +137,7 @@ func NewCluster(net *netsim.Network, primary *Service, nodes []string, gossipEve
 	if gossipEvery <= 0 {
 		gossipEvery = DefaultGossipInterval
 	}
-	c := &Cluster{k: primary.k, net: net, gossipEvery: gossipEvery}
+	c := &Cluster{k: primary.k, net: net, gossipEvery: gossipEvery, ids: make(map[string]int32, len(primary.records))}
 	for i, n := range nodes {
 		svc := primary
 		if i > 0 {
@@ -130,7 +148,7 @@ func NewCluster(net *netsim.Network, primary *Service, nodes []string, gossipEve
 		}
 		svc.cluster = c
 		svc.home = n
-		r := &Replica{Svc: svc, Node: n, meta: make(map[string]stamped, len(primary.records))}
+		r := &Replica{Svc: svc, Node: n, meta: make([]*version, 0, len(primary.records))}
 		c.reps = append(c.reps, r)
 	}
 	// Seed identical stamps for pre-existing state so the cluster starts
@@ -143,9 +161,9 @@ func NewCluster(net *netsim.Network, primary *Service, nodes []string, gossipEve
 	sort.Strings(keys)
 	for _, k := range keys {
 		c.seq++
-		st := stamped{st: Stamp{T: now, Seq: c.seq}}
+		v := &version{id: c.keyID(k), st: Stamp{T: now, Seq: c.seq}, e: primary.records[k]}
 		for _, r := range c.reps {
-			r.meta[k] = st
+			r.install(v)
 		}
 	}
 	return c, nil
@@ -179,7 +197,7 @@ func (c *Cluster) tick() {
 // plane sizes (N ≤ 5, hundreds of records).
 func (c *Cluster) gossip() {
 	for _, src := range c.reps {
-		var snap []gossipEntry
+		var snap []*version
 		for _, dst := range c.reps {
 			if dst == src {
 				continue
@@ -190,44 +208,79 @@ func (c *Cluster) gossip() {
 			size := int64(gossipBaseBytes + gossipPerEntryBytes*len(snap))
 			to := dst
 			_ = c.net.Send(src.Node, dst.Node, size, snap, func(payload any) {
-				to.merge(payload.([]gossipEntry))
+				to.merge(payload.([]*version))
 			})
 		}
 	}
 }
 
-// snapshot copies a replica's stamped state for transmission.
-func (r *Replica) snapshot() []gossipEntry {
-	out := make([]gossipEntry, 0, len(r.meta))
-	for k, m := range r.meta {
-		ge := gossipEntry{key: k, stamped: m}
-		if !m.del {
-			ge.e = r.Svc.records[k]
+// keyID returns key's dense id, interning it on first use.
+func (c *Cluster) keyID(key string) int32 {
+	id, ok := c.ids[key]
+	if !ok {
+		id = int32(len(c.keys))
+		c.ids[key] = id
+		c.keys = append(c.keys, key)
+	}
+	return id
+}
+
+// snapshot captures a replica's versioned state for transmission: the
+// versions themselves are immutable, so the snapshot shares them.
+func (r *Replica) snapshot() []*version {
+	out := make([]*version, 0, len(r.meta))
+	expired := r.live != len(r.Svc.records)
+	for _, v := range r.meta {
+		if v == nil {
+			continue
 		}
-		out = append(out, ge)
+		if expired && !v.del {
+			// Service.Expire dropped records behind the replica's back:
+			// ship what the registry holds now, a zero record if gone.
+			if _, ok := r.Svc.records[r.Svc.cluster.keys[v.id]]; !ok {
+				v = &version{id: v.id, st: v.st}
+			}
+		}
+		out = append(out, v)
 	}
 	return out
 }
 
-// merge applies newer-stamped entries from a peer's snapshot. Keys are
+// merge applies newer-stamped versions from a peer's snapshot. Keys are
 // independent, so application order within a snapshot cannot matter.
-func (r *Replica) merge(snap []gossipEntry) {
-	for _, ge := range snap {
-		r.install(ge.key, ge.stamped, ge.e)
+func (r *Replica) merge(snap []*version) {
+	for _, v := range snap {
+		r.install(v)
 	}
 }
 
-// install adopts (key, value) if its stamp supersedes the local one.
-func (r *Replica) install(key string, m stamped, e Entry) {
-	if cur, ok := r.meta[key]; ok && !m.st.After(cur.st) {
+// install adopts v if its stamp supersedes the local version of its key.
+// Every real stamp carries a sequence number ≥ 1, so it supersedes the
+// zero stamp of a key never seen.
+func (r *Replica) install(v *version) {
+	for int(v.id) >= len(r.meta) {
+		r.meta = append(r.meta, nil)
+	}
+	cur := r.meta[v.id]
+	if cur != nil && !v.st.After(cur.st) {
 		return
 	}
-	r.meta[key] = m
-	if m.del {
+	if cur != nil && !cur.del {
+		r.live--
+	}
+	if !v.del {
+		r.live++
+	}
+	r.meta[v.id] = v
+	if v.st.After(r.newest) {
+		r.newest = v.st
+	}
+	key := r.Svc.cluster.keys[v.id]
+	if v.del {
 		delete(r.Svc.records, key)
 		return
 	}
-	r.Svc.records[key] = e
+	r.Svc.records[key] = v.e
 }
 
 // reachable reports whether a control-plane RPC between two nodes would
@@ -262,22 +315,20 @@ func (c *Cluster) write(origin string, kind Kind, name string, attrs map[string]
 		return fmt.Errorf("%w: %s reaches %d of %d replicas", ErrNoQuorum, origin, reach, len(c.reps))
 	}
 	c.seq++
-	m := stamped{st: Stamp{T: c.k.Now(), Seq: c.seq, Origin: origin}, del: del}
-	var e Entry
+	v := &version{id: c.keyID(key(kind, name)), st: Stamp{T: c.k.Now(), Seq: c.seq, Origin: origin}, del: del}
 	if !del {
 		cp := make(map[string]any, len(attrs))
-		for k, v := range attrs {
-			cp[k] = v
+		for ak, av := range attrs {
+			cp[ak] = av
 		}
-		e = Entry{Kind: kind, Name: name, Attrs: cp}
+		v.e = Entry{Kind: kind, Name: name, Attrs: cp}
 		if ttl > 0 {
-			e.Expires = c.k.Now().Add(ttl)
+			v.e.Expires = c.k.Now().Add(ttl)
 		}
 	}
-	k := key(kind, name)
 	for _, r := range c.reps {
 		if c.reachable(origin, r.Node) {
-			r.install(k, m, e)
+			r.install(v)
 		}
 	}
 	return nil
@@ -347,11 +398,11 @@ func (c *Cluster) GossipRounds() uint64 { return c.gossipRounds }
 func (c *Cluster) Converged() bool {
 	base := c.reps[0]
 	for _, r := range c.reps[1:] {
-		if len(r.meta) != len(base.meta) || len(r.Svc.records) != len(base.Svc.records) {
+		if len(r.Svc.records) != len(base.Svc.records) {
 			return false
 		}
-		for k, m := range base.meta {
-			if got, ok := r.meta[k]; !ok || got != m {
+		for id := range c.keys {
+			if r.stampOf(id) != base.stampOf(id) {
 				return false
 			}
 		}
@@ -359,15 +410,12 @@ func (c *Cluster) Converged() bool {
 	return true
 }
 
-// maxStamp returns the newest stamp a replica has adopted.
-func (r *Replica) maxStamp() Stamp {
-	var max Stamp
-	for _, m := range r.meta {
-		if m.st.After(max) {
-			max = m.st
-		}
+// stampOf returns the replica's stamp for key id (zero if never seen).
+func (r *Replica) stampOf(id int) stamped {
+	if id < len(r.meta) && r.meta[id] != nil {
+		return stamped{st: r.meta[id].st, del: r.meta[id].del}
 	}
-	return max
+	return stamped{}
 }
 
 // Lag returns how far behind the i'th replica is, as the simulated-time
@@ -377,11 +425,11 @@ func (r *Replica) maxStamp() Stamp {
 func (c *Cluster) Lag(i int) sim.Duration {
 	var newest Stamp
 	for _, r := range c.reps {
-		if s := r.maxStamp(); s.After(newest) {
-			newest = s
+		if r.newest.After(newest) {
+			newest = r.newest
 		}
 	}
-	mine := c.reps[i].maxStamp()
+	mine := c.reps[i].newest
 	if newest.T <= mine.T {
 		return 0
 	}

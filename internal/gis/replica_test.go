@@ -2,6 +2,8 @@ package gis
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"vmgrid/internal/netsim"
@@ -292,5 +294,188 @@ func TestLWWStampOrder(t *testing.T) {
 	d := Stamp{T: 10, Seq: 2, Origin: "b"}
 	if !d.After(c) {
 		t.Error("same time+seq: higher origin must win")
+	}
+}
+
+// bruteLag is Lag from scratch: the newest stamp anywhere in meta
+// against the newest stamp in replica i's meta.
+func bruteLag(c *Cluster, i int) sim.Duration {
+	newestOf := func(r *Replica) Stamp {
+		var max Stamp
+		for _, v := range r.meta {
+			if v != nil && v.st.After(max) {
+				max = v.st
+			}
+		}
+		return max
+	}
+	var newest Stamp
+	for _, r := range c.reps {
+		if s := newestOf(r); s.After(newest) {
+			newest = s
+		}
+	}
+	mine := newestOf(c.reps[i])
+	if newest.T <= mine.T {
+		return 0
+	}
+	return sim.Duration(newest.T - mine.T)
+}
+
+// TestLagMatchesBruteForceMax: the tracked newest stamp gives the same
+// Lag as a full scan of every replica's meta — from seeded pre-existing
+// state, through writes, deregisters and gossip, across a partition
+// that starves two replicas, and after the heal reconverges them.
+func TestLagMatchesBruteForceMax(t *testing.T) {
+	k := sim.NewKernel(1)
+	nodes := []string{"g0", "g1", "g2", "g3", "g4"}
+	net := netsim.New(k)
+	if err := net.BuildLAN(nodes...); err != nil {
+		t.Fatal(err)
+	}
+	svc := New(k)
+	for _, name := range []string{"pre-b", "pre-a", "pre-c"} {
+		if err := svc.Register(KindHost, name, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = k.RunUntil(sim.Time(sim.Second))
+	c, err := NewCluster(net, svc, nodes, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Stop()
+
+	check := func(step int) {
+		t.Helper()
+		for i := 0; i < c.Size(); i++ {
+			if got, want := c.Lag(i), bruteLag(c, i); got != want {
+				t.Fatalf("step %d: Lag(%d) = %v, brute-force max %v", step, i, got, want)
+			}
+		}
+	}
+	check(-1)
+	rng := rand.New(rand.NewSource(7))
+	lagged := false
+	for step := 0; step < 300; step++ {
+		switch step {
+		case 100: // starve g3 and g4 of writes and gossip
+			for _, n := range []string{"g3", "g4"} {
+				if err := net.SetNodeUp(n, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case 200:
+			for _, n := range []string{"g3", "g4"} {
+				if err := net.SetNodeUp(n, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		origin := nodes[rng.Intn(len(nodes))]
+		name := fmt.Sprint("h", rng.Intn(40))
+		switch op := rng.Intn(4); op {
+		case 0, 1:
+			_ = svc.RegisterFrom(origin, KindHost, name, map[string]any{AttrSite: origin}, 0)
+		case 2:
+			_ = svc.DeregisterFrom(origin, KindHost, name)
+		case 3:
+			_ = k.RunUntil(k.Now().Add(sim.Duration(rng.Intn(1500)) * sim.Millisecond))
+		}
+		_ = k.RunUntil(k.Now().Add(50 * sim.Millisecond))
+		check(step)
+		if c.Lag(3) > 0 {
+			lagged = true
+		}
+	}
+	if !lagged {
+		t.Fatal("partition never made the starved replica lag")
+	}
+	_ = k.RunUntil(k.Now().Add(5 * sim.Second))
+	check(300)
+	if !c.Converged() {
+		t.Fatal("cluster not converged after heal")
+	}
+	for i := 0; i < c.Size(); i++ {
+		if lag := c.Lag(i); lag != 0 {
+			t.Errorf("replica %d lags %v after convergence", i, lag)
+		}
+	}
+}
+
+// lagSink keeps benchmarked lags observable to the compiler.
+var lagSink sim.Duration
+
+// BenchmarkGISLag measures one scrape's replica-lag readout: Lag for
+// every member of a five-replica cluster holding a few hundred records.
+func BenchmarkGISLag(b *testing.B) {
+	k := sim.NewKernel(1)
+	nodes := []string{"g0", "g1", "g2", "g3", "g4"}
+	net := netsim.New(k)
+	if err := net.BuildLAN(nodes...); err != nil {
+		b.Fatal(err)
+	}
+	svc := New(k)
+	c, err := NewCluster(net, svc, nodes, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		if err := svc.RegisterFrom(nodes[i%len(nodes)], KindHost, fmt.Sprint("h", i), map[string]any{AttrSite: "nwu"}, 0); err != nil {
+			b.Fatal(err)
+		}
+		_ = k.RunUntil(k.Now().Add(10 * sim.Millisecond))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := 0; r < c.Size(); r++ {
+			lagSink += c.Lag(r)
+		}
+	}
+}
+
+// TestSnapshotAfterExpireShipsRegistryState: gossip ships what a
+// replica's registry holds at snapshot time. Versions are shared by
+// pointer, so a record Service.Expire dropped must go out as a zero
+// record under its stamp, not as the shared version's entry.
+func TestSnapshotAfterExpireShipsRegistryState(t *testing.T) {
+	k := sim.NewKernel(1)
+	_, svc, c := lanCluster(t, k, 3, "g0", "g1", "g2")
+	if err := svc.Register(KindLease, "short", map[string]any{AttrSite: "nwu"}, sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Register(KindHost, "keep", nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	find := func(snap []*version, name string) *version {
+		t.Helper()
+		for _, v := range snap {
+			if c.keys[v.id] == key(KindLease, name) || c.keys[v.id] == key(KindHost, name) {
+				return v
+			}
+		}
+		t.Fatalf("%s missing from snapshot", name)
+		return nil
+	}
+	r0 := c.reps[0]
+	if v := find(r0.snapshot(), "short"); v != r0.meta[v.id] || v.e.Name != "short" {
+		t.Fatalf("live snapshot did not share the adopted version: %+v", v)
+	}
+	_ = k.RunUntil(sim.Time(2 * sim.Second))
+	if n := svc.Expire(); n != 1 {
+		t.Fatalf("Expire dropped %d records, want 1", n)
+	}
+	snap := r0.snapshot()
+	short := find(snap, "short")
+	if short.e.Name != "" || short.e.Attrs != nil || short.del || short.st != r0.meta[short.id].st {
+		t.Fatalf("expired record shipped as %+v, want a zero record under stamp %+v", short, r0.meta[short.id].st)
+	}
+	if keep := find(snap, "keep"); keep != r0.meta[keep.id] {
+		t.Fatal("unexpired record not shared after an Expire elsewhere")
+	}
+	if len(snap) != 2 {
+		t.Fatalf("snapshot holds %d versions, want 2", len(snap))
 	}
 }

@@ -52,12 +52,17 @@ func (s *Series) Last() float64 {
 }
 
 // Values returns the samples oldest-first (a copy).
-func (s *Series) Values() []float64 {
-	out := make([]float64, s.n)
-	for i := 0; i < s.n; i++ {
-		out[i] = s.data[(s.start+i)%len(s.data)]
+func (s *Series) Values() []float64 { return s.AppendValues(make([]float64, 0, s.n)) }
+
+// AppendValues appends the samples oldest-first to dst and returns the
+// extended slice, so a caller refitting on every sample can reuse one
+// buffer.
+func (s *Series) AppendValues(dst []float64) []float64 {
+	if end := s.start + s.n; end <= len(s.data) {
+		return append(dst, s.data[s.start:end]...)
 	}
-	return out
+	dst = append(dst, s.data[s.start:]...)
+	return append(dst, s.data[:s.start+s.n-len(s.data)]...)
 }
 
 // Mean returns the sample mean (0 if empty).
@@ -82,6 +87,7 @@ type Sensor struct {
 	tee      func(at sim.Time, v float64)
 	running  bool
 	next     sim.EventID
+	samples  uint64
 }
 
 // NewSensor creates a sensor sampling measure every interval into a
@@ -102,6 +108,11 @@ func NewSensor(k *sim.Kernel, interval sim.Duration, history int, measure func()
 
 // Series returns the sensor's backing series.
 func (s *Sensor) Series() *Series { return s.series }
+
+// Samples counts the samples the sensor has taken — a version number for
+// its series, so consumers can cache what they derive from it (a fitted
+// forecast) until the next sample lands.
+func (s *Sensor) Samples() uint64 { return s.samples }
 
 // Tee registers an observer invoked with every sample the sensor takes,
 // stamped with the sampling instant — the bridge that lets the
@@ -134,6 +145,7 @@ func (s *Sensor) tick() {
 	}
 	v := s.measure()
 	s.series.Add(v)
+	s.samples++
 	if s.tee != nil {
 		s.tee(s.k.Now(), v)
 	}
@@ -229,10 +241,11 @@ func (p *MovingMean) Observe(v float64) {
 // (Levinson-Durbin recursion) — the workhorse model of the RPS toolkit
 // for host load.
 type AR struct {
-	order  int
-	coeffs []float64
-	mean   float64
-	recent []float64 // last `order` samples, newest last
+	order    int
+	coeffs   []float64
+	mean     float64
+	recent   []float64 // last `order` samples, newest last
+	centered []float64 // Train scratch: history minus its mean
 }
 
 // NewAR creates an AR model of the given order.
@@ -259,12 +272,22 @@ func (p *AR) Train(history []float64) error {
 	}
 	mean /= float64(n)
 
-	// Autocorrelations r[0..order].
+	// Autocorrelations r[0..order]. Every lag sums its products in
+	// ascending i, as a lag-at-a-time loop would, so the result is
+	// bit-identical; walking all lags per sample keeps order+1
+	// independent sums in flight instead of one long add chain.
+	d := p.centered[:0]
+	for _, v := range history {
+		d = append(d, v-mean)
+	}
+	p.centered = d
 	r := make([]float64, p.order+1)
-	for lag := 0; lag <= p.order; lag++ {
-		for i := lag; i < n; i++ {
-			r[lag] += (history[i] - mean) * (history[i-lag] - mean)
+	for i, di := range d {
+		for lag := 0; lag <= p.order && lag <= i; lag++ {
+			r[lag] += di * d[i-lag]
 		}
+	}
+	for lag := range r {
 		r[lag] /= float64(n)
 	}
 	if r[0] <= 1e-12 {

@@ -2,6 +2,8 @@ package rps
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -238,5 +240,85 @@ func TestSeriesProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestARTrainBitIdenticalToLagLoop: Train's sample-major autocorrelation
+// sums each lag in the same order as the textbook lag-at-a-time loop,
+// so fitted coefficients match it bit for bit — what keeps every
+// forecast-driven golden unchanged.
+func TestARTrainBitIdenticalToLagLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 100; trial++ {
+		order := 1 + rng.Intn(12)
+		h := make([]float64, 2*order+1+rng.Intn(600))
+		for i := range h {
+			h[i] = rng.Float64()*4 - 1
+		}
+		var mean float64
+		for _, v := range h {
+			mean += v
+		}
+		mean /= float64(len(h))
+		r := make([]float64, order+1)
+		for lag := 0; lag <= order; lag++ {
+			for i := lag; i < len(h); i++ {
+				r[lag] += (h[i] - mean) * (h[i-lag] - mean)
+			}
+			r[lag] /= float64(len(h))
+		}
+		a := make([]float64, order+1)
+		next := make([]float64, order+1)
+		e := r[0]
+		for k := 1; k <= order; k++ {
+			var acc float64
+			for j := 1; j < k; j++ {
+				acc += a[j] * r[k-j]
+			}
+			lambda := (r[k] - acc) / e
+			copy(next, a)
+			for j := 1; j < k; j++ {
+				next[j] = a[j] - lambda*a[k-j]
+			}
+			next[k] = lambda
+			copy(a, next)
+			e *= 1 - lambda*lambda
+			if e <= 0 {
+				e = 1e-12
+			}
+		}
+		ar, err := NewAR(order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ar.Train(h); err != nil {
+			t.Fatal(err)
+		}
+		if ar.mean != mean || !reflect.DeepEqual(ar.coeffs, a[1:]) {
+			t.Fatalf("trial %d AR(%d) on %d samples: coeffs %v mean %v, lag loop %v mean %v",
+				trial, order, len(h), ar.coeffs, ar.mean, a[1:], mean)
+		}
+	}
+}
+
+// TestAppendValuesAcrossWrap: the two-segment ring copy returns the
+// samples oldest-first at every fill level and wrap position, appended
+// after whatever dst already holds.
+func TestAppendValuesAcrossWrap(t *testing.T) {
+	s, err := NewSeries(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []float64
+	for i := 1; i <= 13; i++ {
+		s.Add(float64(i))
+		want = append(want, float64(i))
+		if len(want) > 5 {
+			want = want[1:]
+		}
+		got := s.AppendValues([]float64{-1})
+		if !reflect.DeepEqual(got, append([]float64{-1}, want...)) {
+			t.Fatalf("after %d adds: AppendValues = %v, want -1 then %v", i, got, want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"testing"
 
 	"vmgrid/internal/sim"
@@ -75,5 +76,52 @@ func BenchmarkTelemetryObserve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		db.Record(sim.Time(i), "node.load", labels, float64(i))
+	}
+}
+
+// BenchmarkTelemetryEval measures one rule-engine pass: the grid's four
+// default alert rules (as core.DefaultAlertRules installs them with the
+// 2 s heartbeat) over ~200 series with full 512-sample histories, the
+// per-scrape cost of a telemetry-enabled grid.
+func BenchmarkTelemetryEval(b *testing.B) {
+	k := sim.NewKernel(1)
+	c, err := NewCollector(k, Config{History: 512})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, r := range []struct{ name, expr string }{
+		{"slowdown", "mean(session.slowdown, 30s) > 1.10 for 30s"},
+		{"stale-lease", "last(lease.age) > 4"},
+		{"vfs-retry-storm", "rate(vfs.retries, 10s) > 5"},
+		{"split-brain-risk", "rate(gis.minority_writes, 10s) > 0"},
+	} {
+		if err := c.AddRule(r.name, r.expr); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var now sim.Time
+	for i := 0; i < 512; i++ {
+		now = sim.Time(i) * sim.Time(sim.Second)
+		for s := 0; s < 40; s++ {
+			lbl := []Label{L("sess", fmt.Sprint("s", s))}
+			c.db.Record(now, "session.slowdown", lbl, 1+float64((i+s)%7)/100)
+			c.db.Record(now, "lease.age", lbl, float64(i%2))
+			c.db.Record(now, "vfs.retries", lbl, float64(i/64))
+			c.db.Record(now, "session.epoch", lbl, 1)
+		}
+		for n := 0; n < 8; n++ {
+			lbl := []Label{L("node", fmt.Sprint("c", n))}
+			c.db.Record(now, "node.load", lbl, float64(n))
+			c.db.Record(now, "node.runnable", lbl, float64(n))
+			c.db.Record(now, "node.slots", lbl, 4)
+			c.db.Record(now, "node.crashed", lbl, 0)
+			c.db.Record(now, "node.predicted_load", lbl, float64(n))
+		}
+		c.db.Record(now, "gis.minority_writes", nil, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.engine.eval(now)
 	}
 }

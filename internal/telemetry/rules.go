@@ -184,7 +184,7 @@ func (r *rule) value(s *Series, now sim.Time) (float64, bool) {
 		}
 		return s.Last().V, true
 	}
-	a := s.Window(since)
+	a := s.window(since, r.fn == FuncP99)
 	if a.Count == 0 {
 		return 0, false
 	}

@@ -29,7 +29,6 @@ package telemetry
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"vmgrid/internal/sim"
 )
@@ -49,25 +48,25 @@ type Label struct {
 // L is shorthand for building a label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// canonicalKey renders name plus sorted labels as the series identity,
-// e.g. `node.load{node=c1}`. Series with no labels key as the bare name.
-func canonicalKey(name string, labels []Label) string {
+// appendKey appends the canonical key of name plus sorted labels to buf
+// — the series identity, e.g. `node.load{node=c1}`; series with no
+// labels key as the bare name. It is the one renderer behind Record and
+// Find.
+func appendKey(buf []byte, name string, labels []Label) []byte {
+	buf = append(buf, name...)
 	if len(labels) == 0 {
-		return name
+		return buf
 	}
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
+	buf = append(buf, '{')
 	for i, l := range labels {
 		if i > 0 {
-			b.WriteByte(',')
+			buf = append(buf, ',')
 		}
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(l.Value)
+		buf = append(buf, l.Key...)
+		buf = append(buf, '=')
+		buf = append(buf, l.Value...)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(buf, '}')
 }
 
 // Series is a bounded ring buffer of timestamped samples under one
@@ -80,6 +79,9 @@ type Series struct {
 	data  []Point
 	start int
 	n     int
+	// unordered is set once a sample older than its predecessor is
+	// added; window searches then fall back to the full scan.
+	unordered bool
 }
 
 // Name returns the series name (without labels).
@@ -93,6 +95,9 @@ func (s *Series) Key() string { return s.key }
 
 // Add appends a sample, evicting the oldest when the ring is full.
 func (s *Series) Add(at sim.Time, v float64) {
+	if s.n > 0 && at < s.Last().At {
+		s.unordered = true
+	}
 	if s.n < len(s.data) {
 		s.data[(s.start+s.n)%len(s.data)] = Point{At: at, V: v}
 		s.n++
@@ -133,18 +138,38 @@ type Agg struct {
 	P99 float64
 }
 
+// at returns the i'th stored sample, oldest first.
+func (s *Series) at(i int) Point { return s.data[(s.start+i)%len(s.data)] }
+
+// first returns the index of the oldest stored sample with At >= since.
+// Sample times never decrease on the recording paths, so a binary search
+// finds it; a series that was ever handed an older sample answers 0 and
+// leaves the At filter to its callers' full scan.
+func (s *Series) first(since sim.Time) int {
+	if s.unordered {
+		return 0
+	}
+	return sort.Search(s.n, func(i int) bool { return s.at(i).At >= since })
+}
+
 // Window aggregates the samples with At >= since (min/max/mean/p99 over
 // the sliding window, plus the latest value). An empty window returns
 // the zero Agg.
-func (s *Series) Window(since sim.Time) Agg {
+func (s *Series) Window(since sim.Time) Agg { return s.window(since, true) }
+
+// window is Window with the p99 copy-and-sort optional: the rule engine
+// asks for it only on p99() rules.
+func (s *Series) window(since sim.Time, p99 bool) Agg {
 	var vals []float64
 	var a Agg
-	for i := 0; i < s.n; i++ {
-		p := s.data[(s.start+i)%len(s.data)]
+	for i := s.first(since); i < s.n; i++ {
+		p := s.at(i)
 		if p.At < since {
 			continue
 		}
-		vals = append(vals, p.V)
+		if p99 {
+			vals = append(vals, p.V)
+		}
 		if a.Count == 0 || p.V < a.Min {
 			a.Min = p.V
 		}
@@ -159,6 +184,9 @@ func (s *Series) Window(since sim.Time) Agg {
 		return a
 	}
 	a.Mean /= float64(a.Count)
+	if !p99 {
+		return a
+	}
 	sort.Float64s(vals)
 	rank := (99*len(vals) + 99) / 100 // nearest-rank ceil(0.99·n)
 	if rank < 1 {
@@ -175,8 +203,8 @@ func (s *Series) Window(since sim.Time) Agg {
 func (s *Series) Rate(since sim.Time) float64 {
 	var first, last Point
 	count := 0
-	for i := 0; i < s.n; i++ {
-		p := s.data[(s.start+i)%len(s.data)]
+	for i := s.first(since); i < s.n; i++ {
+		p := s.at(i)
 		if p.At < since {
 			continue
 		}
@@ -196,11 +224,14 @@ func (s *Series) Rate(since sim.Time) float64 {
 // write and hold at most the configured history per series. Canonical
 // keys are interned: the observe path renders the key into a reused
 // scratch buffer and resolves the series through a zero-copy map
-// lookup, so recording to an existing series allocates nothing.
+// lookup, so recording to an existing series allocates nothing. A
+// per-name index, kept in key order as series are created, lets rule
+// selection walk only the series of one name.
 type DB struct {
 	history int
 	series  map[string]*Series
-	keyBuf  []byte // scratch for canonical-key rendering
+	byName  map[string][]*Series // per name, key-sorted; a series joins on creation
+	keyBuf  []byte               // scratch for canonical-key rendering
 }
 
 // NewDB creates a store keeping history samples per series.
@@ -208,18 +239,21 @@ func NewDB(history int) (*DB, error) {
 	if history <= 0 {
 		return nil, fmt.Errorf("telemetry: history %d", history)
 	}
-	return &DB{history: history, series: make(map[string]*Series)}, nil
+	return &DB{history: history, series: make(map[string]*Series), byName: make(map[string][]*Series)}, nil
 }
 
-// upsert returns (creating if needed) the series for (name, labels).
-// labels must already be sorted by key; the slice is retained.
-func (db *DB) upsert(name string, labels []Label) *Series {
-	key := canonicalKey(name, labels)
-	s := db.series[key]
-	if s == nil {
-		s = &Series{name: name, labels: labels, key: key, data: make([]Point, db.history)}
-		db.series[key] = s
-	}
+// create interns a new series under key and files it in the name index
+// at its key-sorted position. labels must be sorted; the slice is
+// retained.
+func (db *DB) create(name string, labels []Label, key string) *Series {
+	s := &Series{name: name, labels: labels, key: key, data: make([]Point, db.history)}
+	db.series[key] = s
+	idx := db.byName[name]
+	i := sort.Search(len(idx), func(i int) bool { return idx[i].key >= key })
+	idx = append(idx, nil)
+	copy(idx[i+1:], idx[i:])
+	idx[i] = s
+	db.byName[name] = idx
 	return s
 }
 
@@ -244,8 +278,7 @@ func (db *DB) Record(at sim.Time, name string, labels []Label, v float64) {
 	if len(labels) == 0 {
 		s := db.series[name]
 		if s == nil {
-			s = &Series{name: name, key: name, data: make([]Point, db.history)}
-			db.series[name] = s
+			s = db.create(name, nil, name)
 		}
 		s.Add(at, v)
 		return
@@ -255,29 +288,29 @@ func (db *DB) Record(at sim.Time, name string, labels []Label, v float64) {
 		sorted = append([]Label(nil), labels...)
 		sortLabels(sorted)
 	}
-	buf := append(db.keyBuf[:0], name...)
-	buf = append(buf, '{')
-	for i, l := range sorted {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = append(buf, l.Key...)
-		buf = append(buf, '=')
-		buf = append(buf, l.Value...)
-	}
-	buf = append(buf, '}')
-	db.keyBuf = buf
-	s := db.series[string(buf)] // zero-copy lookup: the conversion does not escape
+	db.keyBuf = appendKey(db.keyBuf[:0], name, sorted)
+	s := db.series[string(db.keyBuf)] // zero-copy lookup: the conversion does not escape
 	if s == nil {
-		key := string(buf)
-		s = &Series{name: name, labels: sorted, key: key, data: make([]Point, db.history)}
-		db.series[key] = s
+		s = db.create(name, sorted, string(db.keyBuf))
 	}
 	s.Add(at, v)
 }
 
 // Lookup returns the series with the exact canonical key, or nil.
 func (db *DB) Lookup(key string) *Series { return db.series[key] }
+
+// Find returns the series for (name, labels), or nil — the typed form of
+// Lookup. The key is rendered by the same code as Record, into a stack
+// buffer, so finding an existing series allocates nothing and leaves the
+// store untouched (safe alongside other readers).
+func (db *DB) Find(name string, labels ...Label) *Series {
+	if !labelsSorted(labels) {
+		labels = append([]Label(nil), labels...)
+		sortLabels(labels)
+	}
+	var scratch [64]byte
+	return db.series[string(appendKey(scratch[:0], name, labels))]
+}
 
 // Len returns the number of distinct series.
 func (db *DB) Len() int { return len(db.series) }
@@ -297,15 +330,10 @@ func (db *DB) Keys() []string {
 // sub (a subset match; empty sub matches all), in key order.
 func (db *DB) Select(name string, sub []Label) []*Series {
 	var out []*Series
-	for _, k := range db.Keys() {
-		s := db.series[k]
-		if s.name != name {
-			continue
+	for _, s := range db.byName[name] {
+		if labelsSubset(sub, s.labels) {
+			out = append(out, s)
 		}
-		if !labelsSubset(sub, s.labels) {
-			continue
-		}
-		out = append(out, s)
 	}
 	return out
 }

@@ -9,10 +9,10 @@ import (
 )
 
 func TestCanonicalKey(t *testing.T) {
-	if got := canonicalKey("node.load", nil); got != "node.load" {
+	if got := string(appendKey(nil, "node.load", nil)); got != "node.load" {
 		t.Fatalf("bare key = %q", got)
 	}
-	got := canonicalKey("node.load", []Label{L("node", "c1"), L("zone", "a")})
+	got := string(appendKey(nil, "node.load", []Label{L("node", "c1"), L("zone", "a")}))
 	if got != "node.load{node=c1,zone=a}" {
 		t.Fatalf("labeled key = %q", got)
 	}

@@ -778,7 +778,7 @@ func (s *Server) top() TopInfo {
 			row.Load = n.Host().LoadAverage()
 		}
 		if db := s.grid.Telemetry().DB(); db != nil {
-			if sr := db.Lookup("node.predicted_load{node=" + name + "}"); sr != nil && sr.Len() > 0 {
+			if sr := db.Find("node.predicted_load", telemetry.L("node", name)); sr != nil && sr.Len() > 0 {
 				row.PredictedLoad = sr.Last().V
 			}
 		}
