@@ -4,6 +4,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -286,17 +287,21 @@ func TestCtlWatchDrain(t *testing.T) {
 	}
 	defer c.Close()
 
-	frames := 0
+	var frames atomic.Int64
+	firstFrame := make(chan struct{})
 	errCh := make(chan error, 1)
 	go func() {
 		errCh <- c.Watch(1_000_000, 1, func(wire.TopInfo) error {
-			frames++
+			if frames.Add(1) == 1 {
+				close(firstFrame)
+			}
 			return nil
 		})
 	}()
-	// Let a few frames land, then drain the server under the stream.
-	for i := 0; i < 200 && frames == 0; i++ {
-		time.Sleep(5 * time.Millisecond)
+	// Let a frame land, then drain the server under the stream.
+	select {
+	case <-firstFrame:
+	case <-time.After(time.Second):
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
@@ -309,7 +314,7 @@ func TestCtlWatchDrain(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("watch hung through server drain")
 	}
-	if frames == 0 {
+	if frames.Load() == 0 {
 		t.Fatal("no frames before drain")
 	}
 }

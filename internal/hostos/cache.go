@@ -20,20 +20,28 @@ const hitLatency = 50 * sim.Microsecond
 // are write-through: the caller's completion waits for the device, and
 // the written pages become cached (this is what makes a VM image read
 // shortly after it was copied fast, as in Table 2's persistent rows).
-// The page index is an intrusive LRU with recycled nodes, so a cache at
-// steady state allocates nothing.
+//
+// Per-page work hashes nothing and allocates nothing at steady state:
+// each Read/Write resolves its file name to a small integer id once,
+// the id selects the file's dense page → handle table, and the handle
+// addresses the page's node in a pointer-free lru.List.
 type BufferCache struct {
 	disk     *hw.Disk
 	capacity int64 // bytes
 	used     int64
 
-	pages *lru.Cache[pageKey]
+	ids     map[string]int32 // interned file names
+	freeIDs []int32          // ids of invalidated files, for reuse
+	slots   [][]int32        // per file id: page index → list handle, 0 if absent
+	pages   *lru.List[pageRef]
 
 	hits, misses uint64
 }
 
-type pageKey struct {
-	file string
+// pageRef names a resident page by file id, so the list holds no
+// pointers.
+type pageRef struct {
+	file int32
 	page int64
 }
 
@@ -45,7 +53,8 @@ func NewBufferCache(disk *hw.Disk, capacity int64) *BufferCache {
 	return &BufferCache{
 		disk:     disk,
 		capacity: capacity,
-		pages:    lru.New[pageKey](int(capacity / CachePageSize)),
+		ids:      make(map[string]int32),
+		pages:    lru.NewList[pageRef](int(capacity / CachePageSize)),
 	}
 }
 
@@ -68,22 +77,49 @@ func pageRange(off, size int64) (first, last int64) {
 	return off / CachePageSize, (off + size - 1) / CachePageSize
 }
 
-func (c *BufferCache) touch(key pageKey) bool {
-	return c.pages.Touch(key)
+// fileID returns file's id, interning the name on first use.
+func (c *BufferCache) fileID(file string) int32 {
+	if id, ok := c.ids[file]; ok {
+		return id
+	}
+	var id int32
+	if n := len(c.freeIDs); n > 0 {
+		id = c.freeIDs[n-1]
+		c.freeIDs = c.freeIDs[:n-1]
+	} else {
+		id = int32(len(c.slots))
+		c.slots = append(c.slots, nil)
+	}
+	c.ids[file] = id
+	return id
 }
 
-func (c *BufferCache) insert(key pageKey) {
+// touch marks page pg of file f most recently used and reports whether
+// it was resident.
+func (c *BufferCache) touch(f int32, pg int64) bool {
+	tbl := c.slots[f]
+	if pg >= int64(len(tbl)) || tbl[pg] == 0 {
+		return false
+	}
+	c.pages.MoveToFront(tbl[pg])
+	return true
+}
+
+// insertMissing makes the absent page pg of file f resident, evicting
+// least recently used pages to make room.
+func (c *BufferCache) insertMissing(f int32, pg int64) {
 	if c.capacity < CachePageSize {
 		return
 	}
-	if c.pages.Touch(key) {
-		return
-	}
 	for c.used+CachePageSize > c.capacity && c.pages.Len() > 0 {
-		c.pages.EvictOldest()
+		old := c.pages.Remove(c.pages.Back())
+		c.slots[old.file][old.page] = 0
 		c.used -= CachePageSize
 	}
-	c.pages.Insert(key)
+	if tbl := c.slots[f]; pg >= int64(len(tbl)) {
+		c.slots[f] = append(tbl, make([]int32, pg+1-int64(len(tbl)))...)
+	}
+	c.slots[f][pg] = c.pages.PushFront(pageRef{file: f, page: pg})
 	c.used += CachePageSize
 }
 
@@ -92,45 +128,37 @@ func (c *BufferCache) insert(key pageKey) {
 // device in a single request; fully cached reads complete after a memory
 // copy latency.
 func (c *BufferCache) Read(k *sim.Kernel, file string, off, size int64, done func()) {
-	first, last := pageRange(off, size)
-	var missing int64
-	for pg := first; pg <= last; pg++ {
-		key := pageKey{file: file, page: pg}
-		if c.touch(key) {
-			c.hits++
-			continue
-		}
-		c.misses++
-		missing += CachePageSize
-		c.insert(key)
-	}
-	if missing == 0 {
-		k.After(hitLatency, done)
+	if missing := c.read(file, off, size); missing > 0 {
+		c.disk.Submit(missing, done)
 		return
 	}
-	c.disk.Submit(missing, done)
+	k.After(hitLatency, done)
 }
 
 // ReadSequential is Read for streaming access patterns: device fetches
 // skip the per-request seek, as the host readahead would arrange.
 func (c *BufferCache) ReadSequential(k *sim.Kernel, file string, off, size int64, done func()) {
+	if missing := c.read(file, off, size); missing > 0 {
+		c.disk.SubmitSequential(missing, done)
+		return
+	}
+	k.After(hitLatency, done)
+}
+
+// read runs the page walk of a read and returns the bytes to fetch.
+func (c *BufferCache) read(file string, off, size int64) (missing int64) {
+	f := c.fileID(file)
 	first, last := pageRange(off, size)
-	var missing int64
 	for pg := first; pg <= last; pg++ {
-		key := pageKey{file: file, page: pg}
-		if c.touch(key) {
+		if c.touch(f, pg) {
 			c.hits++
 			continue
 		}
 		c.misses++
 		missing += CachePageSize
-		c.insert(key)
+		c.insertMissing(f, pg)
 	}
-	if missing == 0 {
-		k.After(hitLatency, done)
-		return
-	}
-	c.disk.SubmitSequential(missing, done)
+	return missing
 }
 
 // Write stores [off, off+size) of file through the cache (write-through)
@@ -147,9 +175,14 @@ func (c *BufferCache) WriteSequential(k *sim.Kernel, file string, off, size int6
 }
 
 func (c *BufferCache) write(k *sim.Kernel, file string, off, size int64, done func(), sequential bool) {
-	first, last := pageRange(off, size)
-	for pg := first; pg <= last; pg++ {
-		c.insert(pageKey{file: file, page: pg})
+	if c.capacity >= CachePageSize {
+		f := c.fileID(file)
+		first, last := pageRange(off, size)
+		for pg := first; pg <= last; pg++ {
+			if !c.touch(f, pg) {
+				c.insertMissing(f, pg)
+			}
+		}
 	}
 	if size <= 0 {
 		k.After(hitLatency, done)
@@ -164,11 +197,17 @@ func (c *BufferCache) write(k *sim.Kernel, file string, off, size int64, done fu
 
 // Invalidate drops all cached pages of file (e.g. when it is deleted).
 func (c *BufferCache) Invalidate(file string) {
-	c.pages.Filter(func(key pageKey) bool {
-		if key.file != file {
-			return false
+	f, ok := c.ids[file]
+	if !ok {
+		return
+	}
+	for _, h := range c.slots[f] {
+		if h != 0 {
+			c.pages.Remove(h)
+			c.used -= CachePageSize
 		}
-		c.used -= CachePageSize
-		return true
-	})
+	}
+	c.slots[f] = nil
+	delete(c.ids, file)
+	c.freeIDs = append(c.freeIDs, f)
 }

@@ -12,7 +12,13 @@ type Disk struct {
 	k     *sim.Kernel
 	spec  DiskSpec
 	queue []diskReq
+	qhead int // queue[qhead:] are waiting; the consumed prefix is zeroed
 	busy  bool
+
+	// cur is the request in service. The device serves one request at a
+	// time, so its completion is a method value bound once in NewDisk.
+	cur        diskReq
+	completeFn func()
 
 	requests  uint64
 	bytesRead uint64
@@ -26,7 +32,9 @@ type diskReq struct {
 
 // NewDisk creates a disk device on the kernel.
 func NewDisk(k *sim.Kernel, spec DiskSpec) *Disk {
-	return &Disk{k: k, spec: spec}
+	d := &Disk{k: k, spec: spec}
+	d.completeFn = d.complete
+	return d
 }
 
 // Spec returns the device's static description.
@@ -40,7 +48,7 @@ func (d *Disk) BytesTransferred() uint64 { return d.bytesRead }
 
 // QueueLen returns the number of requests waiting (not counting the one
 // in service).
-func (d *Disk) QueueLen() int { return len(d.queue) }
+func (d *Disk) QueueLen() int { return len(d.queue) - d.qhead }
 
 // Submit enqueues a transfer of size bytes and invokes done when it
 // completes. Each Submit pays the device's seek time.
@@ -74,26 +82,33 @@ func (d *Disk) serviceTime(size int64, sequential bool) sim.Duration {
 
 func (d *Disk) start(req diskReq) {
 	d.busy = true
+	d.cur = req
 	d.bytesRead += uint64(req.size)
-	svc := d.serviceTime(req.size, req.sequential)
-	d.k.After(svc, func() {
-		d.busy = false
-		// Start the next queued request before running the completion
-		// callback: a stream that resubmits from its callback must go to
-		// the back of the line, not cut in front of waiting requests.
-		d.next()
-		if req.done != nil {
-			req.done()
-		}
-	})
+	d.k.After(d.serviceTime(req.size, req.sequential), d.completeFn)
+}
+
+func (d *Disk) complete() {
+	done := d.cur.done
+	d.cur = diskReq{}
+	d.busy = false
+	// Start the next queued request before running the completion
+	// callback: a stream that resubmits from its callback must go to
+	// the back of the line, not cut in front of waiting requests.
+	d.next()
+	if done != nil {
+		done()
+	}
 }
 
 func (d *Disk) next() {
-	if d.busy || len(d.queue) == 0 {
+	if d.qhead >= len(d.queue) {
+		d.queue = d.queue[:0]
+		d.qhead = 0
 		return
 	}
-	req := d.queue[0]
-	d.queue = d.queue[1:]
+	req := d.queue[d.qhead]
+	d.queue[d.qhead] = diskReq{}
+	d.qhead++
 	d.start(req)
 }
 

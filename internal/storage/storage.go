@@ -12,6 +12,7 @@ import (
 
 	"vmgrid/internal/chunk"
 	"vmgrid/internal/hostos"
+	"vmgrid/internal/sim"
 )
 
 // Sentinel errors callers match with errors.Is.
@@ -281,28 +282,53 @@ func (s *Store) Copy(src, dst string, done func()) error {
 		// cache).
 		s.chunks[dst] = append([]chunk.Key(nil), s.chunks[src]...)
 	}
-	k := s.host.Kernel()
-	cache := s.host.Cache()
-	var step func(off int64)
-	step = func(off int64) {
-		if off >= size {
-			if done != nil {
-				done()
-			}
-			return
-		}
-		n := CopyChunk
-		if off+n > size {
-			n = size - off
-		}
-		cache.Read(k, s.qualify(src), off, n, func() {
-			cache.WriteSequential(k, s.qualify(dst), off, n, func() {
-				step(off + n)
-			})
-		})
+	c := &copier{
+		k:     s.host.Kernel(),
+		cache: s.host.Cache(),
+		src:   s.qualify(src),
+		dst:   s.qualify(dst),
+		size:  size,
+		done:  done,
 	}
-	step(0)
+	c.writeFn = c.write
+	c.nextFn = c.next
+	c.step()
 	return nil
+}
+
+// copier drives one Store.Copy: a chunk is read, then written, then the
+// next chunk starts. The names are qualified and the stage callbacks
+// bound once per copy, so the per-chunk loop allocates nothing.
+type copier struct {
+	k        *sim.Kernel
+	cache    *hostos.BufferCache
+	src, dst string
+	size     int64
+	off, n   int64 // chunk in flight
+	done     func()
+
+	writeFn func() // read of the chunk complete: write it
+	nextFn  func() // write of the chunk durable: start the next
+}
+
+func (c *copier) step() {
+	if c.off >= c.size {
+		if c.done != nil {
+			c.done()
+		}
+		return
+	}
+	c.n = min(CopyChunk, c.size-c.off)
+	c.cache.Read(c.k, c.src, c.off, c.n, c.writeFn)
+}
+
+func (c *copier) write() {
+	c.cache.WriteSequential(c.k, c.dst, c.off, c.n, c.nextFn)
+}
+
+func (c *copier) next() {
+	c.off += c.n
+	c.step()
 }
 
 // LocalFile is a Backend over a Store file, charged to the host disk

@@ -139,7 +139,7 @@ func (c Config) validate() error {
 // The data plane is allocation-free at steady state: RPCs and
 // multi-span reads run through freelisted call/readOp structs whose
 // callbacks are bound once at allocation, the block cache is an
-// intrusive LRU with recycled nodes, and the miss walk reuses
+// lru.Cache whose list nodes are recycled, and the miss walk reuses
 // client-owned scratch buffers. A fully cached read costs two pooled
 // kernel events and nothing else.
 type Client struct {
