@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"vmgrid/internal/chunk"
+	"vmgrid/internal/core"
 	"vmgrid/internal/wire"
 )
 
@@ -178,7 +179,7 @@ func TestCtlReplicatedTop(t *testing.T) {
 		}
 	}
 	grid := srv.Grid()
-	if _, err := grid.EnableGISReplication([]string{"c1", "g1", "g2"}, 0); err != nil {
+	if _, err := grid.EnableGISReplication([]string{"c1", "g1", "g2"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -362,12 +363,11 @@ func TestCtlTopStagingLine(t *testing.T) {
 		t.Fatalf("staging block present without a chunk plane: %+v", top0.Staging)
 	}
 
-	srv := wire.NewServer(1)
+	srv := wire.NewServer(1, core.WithChunkedStaging(chunk.Config{}))
 	if err := srv.Serve("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	srv.Grid().EnableChunkedStaging(chunk.Config{})
 	l := wire.NewLocal(srv)
 	steps := []func() error{
 		func() error {

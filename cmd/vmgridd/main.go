@@ -15,10 +15,11 @@
 // (DESIGN.md §10): staged transfers dedup against per-node chunk
 // caches and `vmgridctl top` reports the grid-wide hit rate.
 //
-// The served grid is traced and telemetered from birth: the metrics,
-// spans, top, alerts, and watch wire ops always have data, and the
-// standard SLO rules (slowdown, stale-lease, vfs-retry-storm) are
-// armed. Drive the dashboard with `vmgridctl top` / `vmgridctl alerts`.
+// The served grid is traced, flight-recorded and telemetered from
+// birth: the metrics, spans, incidents, top, alerts, and watch wire ops
+// always have data, and the standard SLO rules (slowdown, stale-lease,
+// vfs-retry-storm, split-brain-risk) are armed. Drive the dashboard
+// with `vmgridctl top` / `vmgridctl alerts`.
 package main
 
 import (
@@ -29,6 +30,7 @@ import (
 	"syscall"
 
 	"vmgrid/internal/chunk"
+	"vmgrid/internal/core"
 	"vmgrid/internal/hw"
 	"vmgrid/internal/wire"
 )
@@ -47,10 +49,11 @@ func run() error {
 	chunked := flag.Bool("chunked", false, "enable the content-addressed chunked staging plane")
 	flag.Parse()
 
-	srv := wire.NewServer(*seed)
+	var opts []core.GridOption
 	if *chunked {
-		srv.Grid().EnableChunkedStaging(chunk.Config{})
+		opts = append(opts, core.WithChunkedStaging(chunk.Config{}))
 	}
+	srv := wire.NewServer(*seed, opts...)
 	if *demo {
 		if err := buildDemo(srv); err != nil {
 			return fmt.Errorf("demo fabric: %w", err)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"vmgrid/internal/chunk"
+	"vmgrid/internal/core"
 	"vmgrid/internal/wire"
 )
 
@@ -40,8 +41,7 @@ func TestBuildDemoFabric(t *testing.T) {
 // a -chunked daemon's demo fabric records chunk traffic on a staged
 // session and surfaces it through the top op.
 func TestChunkedDemoReportsStagingStats(t *testing.T) {
-	srv := wire.NewServer(4)
-	srv.Grid().EnableChunkedStaging(chunk.Config{})
+	srv := wire.NewServer(4, core.WithChunkedStaging(chunk.Config{}))
 	if err := buildDemo(srv); err != nil {
 		t.Fatal(err)
 	}

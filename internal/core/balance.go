@@ -56,32 +56,20 @@ func (f *gridFabric) NodeLoad(node string) (float64, bool) {
 	return n.host.LoadAverage(), true
 }
 
-// Sessions lists the node's movable sessions, lowest eviction priority
-// first (name-ordered within a priority). Sessions mid-migration,
-// mid-checkpoint, or mid-recovery are not offered: the balancer must
-// never contend with the supervisor for the same incarnation.
+// Sessions lists the node's movable sessions in name order. Sessions
+// mid-migration, mid-checkpoint, or mid-recovery are not offered: the
+// balancer must never contend with the supervisor for the same
+// incarnation.
 func (f *gridFabric) Sessions(node string) []string {
 	n := f.g.nodes[node]
 	if n == nil {
 		return nil
 	}
-	var out []*Session
+	var names []string
 	for _, s := range f.g.sessionsOn(n) {
-		if !s.state.CanMigrate() || s.cow == nil || s.migrating || f.g.sessionBusy(s.name) {
-			continue
+		if s.state.CanMigrate() && s.cow != nil && !s.migrating && !f.g.sessionBusy(s.name) {
+			names = append(names, s.name)
 		}
-		out = append(out, s)
-	}
-	// sessionsOn is already name-sorted; a stable pass by priority
-	// keeps the name order within each priority class.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].priority > out[j].priority; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	names := make([]string, len(out))
-	for i, s := range out {
-		names[i] = s.name
 	}
 	return names
 }

@@ -230,16 +230,16 @@ func TestMigrateFencedRefusedWithoutQuorum(t *testing.T) {
 
 // TestBalancerRelievesHotspotEndToEnd drives the real grid fabric: two
 // busy sessions packed on one node trip the hysteresis detector and the
-// lowest-priority one is live-migrated to the idle node.
+// first in name order is live-migrated to the idle node.
 func TestBalancerRelievesHotspotEndToEnd(t *testing.T) {
 	g := testbed(t)
-	important := startSessionWith(t, g, WithNodeHint("compute1"), WithPriority(10))
-	cheap := startSessionWith(t, g, WithNodeHint("compute1"), WithPriority(0))
-	if important.Node().Name() != "compute1" || cheap.Node().Name() != "compute1" {
+	first := startSessionWith(t, g, WithNodeHint("compute1"))
+	second := startSessionWith(t, g, WithNodeHint("compute1"))
+	if first.Node().Name() != "compute1" || second.Node().Name() != "compute1" {
 		t.Fatalf("setup: sessions on %s/%s, want both on compute1",
-			important.Node().Name(), cheap.Node().Name())
+			first.Node().Name(), second.Node().Name())
 	}
-	for _, s := range []*Session{important, cheap} {
+	for _, s := range []*Session{first, second} {
 		if err := s.Run(guest.MicroTask(1800), nil); err != nil {
 			t.Fatal(err)
 		}
@@ -254,20 +254,20 @@ func TestBalancerRelievesHotspotEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	stepUntil(g, 10*sim.Minute, func() bool {
-		return cheap.Node().Name() == "compute2" || important.Node().Name() == "compute2"
+		return first.Node().Name() == "compute2" || second.Node().Name() == "compute2"
 	})
 	bal.Stop()
 	if got := bal.Stats().Migrations; got < 1 {
 		t.Fatalf("balancer migrations = %d, want >= 1 (stats %+v)", got, bal.Stats())
 	}
-	if got := cheap.Node().Name(); got != "compute2" {
-		t.Errorf("relieved session on %q, want the low-priority one on compute2 (important on %q)",
-			got, important.Node().Name())
+	if got := first.Node().Name(); got != "compute2" {
+		t.Errorf("relieved session on %q, want the first in name order on compute2 (second on %q)",
+			got, second.Node().Name())
 	}
-	if got := important.Node().Name(); got != "compute1" {
-		t.Errorf("high-priority session migrated (now on %q); eviction order ignored priority", got)
+	if got := second.Node().Name(); got != "compute1" {
+		t.Errorf("second session migrated too (now on %q)", got)
 	}
-	if cheap.State() != StateRunning {
-		t.Errorf("migrated session state = %q", cheap.State())
+	if first.State() != StateRunning {
+		t.Errorf("migrated session state = %q", first.State())
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"vmgrid/internal/chunk"
 	"vmgrid/internal/guest"
-	"vmgrid/internal/obs"
 	"vmgrid/internal/retry"
 	"vmgrid/internal/sim"
 )
@@ -16,8 +15,7 @@ import (
 // stats, the session, and total wire bytes.
 func chunkedFailover(t *testing.T, dirtyBps int64) (guest.TaskResult, SupervisorStats, *Session, uint64) {
 	t.Helper()
-	g := testbed(t)
-	g.EnableChunkedStaging(chunk.Config{})
+	g := testbed(t, WithChunkedStaging(chunk.Config{}))
 	cfg := baseConfig()
 	cfg.DirtyBps = dirtyBps
 	s := startSession(t, g, cfg)
@@ -98,8 +96,7 @@ func TestDeltaRestoreMatchesFullRestore(t *testing.T) {
 // fabric heals.
 func TestStageCheckpointRetriesThroughTransientOutage(t *testing.T) {
 	run := func(policy retry.Policy) (duringOutage, after int, retries float64) {
-		g := testbed(t)
-		g.SetTracer(obs.New(g.Kernel()))
+		g := testbed(t, WithTracing())
 		s := startSession(t, g, baseConfig())
 		sup := superviseSession(t, g, s, SupervisorConfig{
 			CheckpointInterval: 30 * sim.Second,
@@ -156,8 +153,7 @@ func TestStageCheckpointRetriesThroughTransientOutage(t *testing.T) {
 // everything it exported, and arrival primes the delta tracker so the
 // return suspend writes a delta rather than the whole image.
 func TestMigrateBackDedup(t *testing.T) {
-	g := testbed(t)
-	g.EnableChunkedStaging(chunk.Config{})
+	g := testbed(t, WithChunkedStaging(chunk.Config{}))
 	// 16 KiB/s: the ~20 simulated minutes spent on the far side dirty
 	// ~20 MB of the 128 MB image, so the return leg has real dedup to
 	// find without being trivially empty.

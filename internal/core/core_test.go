@@ -13,10 +13,11 @@ import (
 
 // testbed builds the paper's deployment: a front end, two compute nodes
 // and a data server on one site's LAN, and an image server across a WAN
-// (Northwestern / Florida in Table 1's caption).
-func testbed(t testing.TB) *Grid {
+// (Northwestern / Florida in Table 1's caption). opts select the
+// construction-time planes.
+func testbed(t testing.TB, opts ...GridOption) *Grid {
 	t.Helper()
-	g := NewGrid(1)
+	g := NewGrid(1, opts...)
 	add := func(cfg NodeConfig) *Node {
 		t.Helper()
 		n, err := g.AddNode(cfg)

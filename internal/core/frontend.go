@@ -45,8 +45,8 @@ func NewFrontEnd(g *Grid, name string) *FrontEnd {
 }
 
 // CreateBackend grows the pool by one: it creates a session through
-// the grid's placement path (any CreateOption — placer, node hint,
-// priority — applies) and, once running, adds it as a back-end. done
+// the grid's placement path (any CreateOption — placer or node hint —
+// applies) and, once running, adds it as a back-end. done
 // fires after the session has joined the pool (or with the creation
 // error).
 func (f *FrontEnd) CreateBackend(cfg SessionConfig, done func(*Session, error), opts ...CreateOption) error {

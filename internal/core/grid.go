@@ -25,8 +25,6 @@ import (
 	"vmgrid/internal/hw"
 	"vmgrid/internal/netsim"
 	"vmgrid/internal/obs"
-	"vmgrid/internal/placement"
-	"vmgrid/internal/retry"
 	"vmgrid/internal/sim"
 	"vmgrid/internal/storage"
 	"vmgrid/internal/telemetry"
@@ -39,42 +37,94 @@ import (
 // nodes.
 type Grid struct {
 	k        *sim.Kernel
-	seed     uint64
 	net      *netsim.Network
 	info     *gis.Service
 	registry *gram.Registry
 	nodes    map[string]*Node
 	sessions int
 	live     map[string]*Session
-	vfsRetry retry.Policy
 	tracer   *obs.Tracer
 	recorder *obs.FlightRecorder
 
-	telemetry     *telemetry.Collector
-	monitor       *Monitor
-	supervisors   []*Supervisor
-	defaultPlacer placement.Placer
-	chunks        *chunk.Plane
+	telemetry   *telemetry.Collector
+	monitor     *Monitor
+	supervisors []*Supervisor
+	chunks      *chunk.Plane
 }
 
-// NewGrid creates an empty grid fabric seeded deterministically.
-func NewGrid(seed uint64) *Grid {
+// gridOptions collects the functional options of NewGrid.
+type gridOptions struct {
+	tracing, flight, telemetry bool
+	chunks                     *chunk.Config
+}
+
+// GridOption switches on one construction-time plane of NewGrid.
+type GridOption func(*gridOptions)
+
+// WithTracing gives the grid a span-retaining obs.Tracer shared by every
+// layer it builds (sessions, VFS mounts, GRAM, VMMs, the supervisor).
+// Its causal id stream is seeded from the grid seed, so trace and span
+// ids are a pure function of (seed, recording order).
+func WithTracing() GridOption { return func(o *gridOptions) { o.tracing = true } }
+
+// WithFlightRecorder turns on the always-on black box: a bounded ring
+// of recently completed spans plus incident bundles frozen from it on
+// triggers (recovery entry, fencing, SLO alerts). Without WithTracing
+// the grid gets a flight-only tracer: spans flow through the ring with
+// bounded memory but are not retained for full-trace export.
+func WithFlightRecorder() GridOption { return func(o *gridOptions) { o.flight = true } }
+
+// WithTelemetry attaches a telemetry collector (see Grid.Telemetry);
+// the standard SLO rules are installed separately by DefaultAlertRules.
+func WithTelemetry() GridOption { return func(o *gridOptions) { o.telemetry = true } }
+
+// WithChunkedStaging attaches a content-addressed chunk plane to every
+// node store: staging paths — session creation, checkpoint staging,
+// failover restores, fenced migrations, tape traffic — then move only
+// the chunks the destination does not already hold, and supervised
+// checkpoints overlap their copy window with guest compute. Without it
+// every transfer path behaves exactly as before chunking existed.
+func WithChunkedStaging(cfg chunk.Config) GridOption {
+	return func(o *gridOptions) { o.chunks = &cfg }
+}
+
+// NewGrid creates an empty grid fabric seeded deterministically, with
+// the planes the options select. The planes are built in one fixed
+// order — tracer, flight recorder, telemetry collector, chunk plane —
+// whatever order the options come in, so each sees the ones before it.
+func NewGrid(seed uint64, opts ...GridOption) *Grid {
+	var o gridOptions
+	for _, opt := range opts {
+		opt(&o)
+	}
 	k := sim.NewKernel(seed)
-	return &Grid{
+	g := &Grid{
 		k:        k,
-		seed:     seed,
 		net:      netsim.New(k),
 		info:     gis.New(k),
 		registry: gram.NewRegistry(),
 		nodes:    make(map[string]*Node),
 		live:     make(map[string]*Session),
 	}
+	switch {
+	case o.tracing:
+		g.tracer = obs.New(k)
+	case o.flight:
+		g.tracer = obs.NewFlightOnly(k)
+	}
+	g.tracer.SeedIDs(seed)
+	if o.flight {
+		g.recorder = obs.NewFlightRecorder(k)
+		g.tracer.SetFlightRecorder(g.recorder)
+	}
+	if o.telemetry {
+		g.attachTelemetry()
+	}
+	if o.chunks != nil {
+		g.chunks = chunk.NewPlane(*o.chunks)
+	}
+	return g
 }
-
-// SetVFSRetry applies a retry policy to every VFS client the grid builds
-// from now on (data mounts and on-demand image mounts), threading
-// fault tolerance through the file system layer.
-func (g *Grid) SetVFSRetry(p retry.Policy) { g.vfsRetry = p }
 
 // Kernel returns the simulation kernel.
 func (g *Grid) Kernel() *sim.Kernel { return g.k }
@@ -89,13 +139,12 @@ func (g *Grid) Info() *gis.Service { return g.info }
 // named nodes (which must already be attached and connected): the
 // existing registry becomes replica 0, pinned to nodes[0], and writes
 // from then on require a quorum judged from the originating node.
-// Anti-entropy gossip starts immediately at the given cadence (≤ 0 =
-// gis.DefaultGossipInterval). Call after the topology is built and
-// before injecting faults. With one node this degenerates to the
-// unreplicated behavior every existing experiment is calibrated
-// against.
-func (g *Grid) EnableGISReplication(nodes []string, gossipEvery sim.Duration) (*gis.Cluster, error) {
-	c, err := gis.NewCluster(g.net, g.info, nodes, gossipEvery)
+// Anti-entropy gossip starts immediately, once a simulated second. Call
+// after the topology is built and before injecting faults. With one
+// node this degenerates to the unreplicated behavior every existing
+// experiment is calibrated against.
+func (g *Grid) EnableGISReplication(nodes []string) (*gis.Cluster, error) {
+	c, err := gis.NewCluster(g.net, g.info, nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -103,31 +152,8 @@ func (g *Grid) EnableGISReplication(nodes []string, gossipEvery sim.Duration) (*
 	return c, nil
 }
 
-// EnableChunkedStaging attaches a content-addressed chunk plane to
-// every node store (present and future): staging paths — session
-// creation, checkpoint staging, failover restores, fenced migrations,
-// tape traffic — then move only the chunks the destination does not
-// already hold, and supervised checkpoints overlap their copy window
-// with guest compute. Existing files get manifests in sorted node and
-// file order, so enabling the plane is deterministic. Call once, after
-// the topology exists or before it is built; without it every transfer
-// path behaves exactly as before chunking existed.
-func (g *Grid) EnableChunkedStaging(cfg chunk.Config) *chunk.Plane {
-	p := chunk.NewPlane(cfg)
-	g.chunks = p
-	names := make([]string, 0, len(g.nodes))
-	for name := range g.nodes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		g.nodes[name].store.SetChunkPlane(p)
-	}
-	return p
-}
-
-// ChunkPlane returns the grid's chunk plane, or nil when chunked
-// staging is not enabled.
+// ChunkPlane returns the grid's chunk plane, or nil without
+// WithChunkedStaging.
 func (g *Grid) ChunkPlane() *chunk.Plane { return g.chunks }
 
 // epochGuardAt builds the fencing check a data-plane server at
@@ -248,8 +274,7 @@ func (g *Grid) AddNode(cfg NodeConfig) (*Node, error) {
 	n.vfsrv = vfs.NewServer(n.store)
 	g.net.AddNode(cfg.Name)
 	if cfg.Role&RoleCompute != 0 {
-		n.gk = gram.NewGatekeeper(host)
-		n.gk.SetTracer(g.tracer)
+		n.gk = gram.NewGatekeeper(host, g.tracer)
 		g.registry.Add(cfg.Name, n.gk)
 		if n.slots <= 0 {
 			n.slots = 1

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"vmgrid/internal/gis"
 	"vmgrid/internal/rps"
 	"vmgrid/internal/sim"
@@ -16,7 +14,6 @@ import (
 // placements by where load is going, not just where it is.
 type Monitor struct {
 	grid      *Grid
-	interval  sim.Duration
 	nodes     []string // monitored compute nodes, name-sorted
 	sensors   map[string]*rps.Sensor
 	forecasts map[string]*forecast
@@ -37,15 +34,14 @@ type forecast struct {
 	load    float64
 }
 
-// StartMonitor begins sampling every compute node at the given interval
-// (the RPS host-load sensor cadence; 1 s matches the original toolkit).
-func (g *Grid) StartMonitor(interval sim.Duration) (*Monitor, error) {
-	if interval <= 0 {
-		return nil, fmt.Errorf("core: monitor interval %v", interval)
-	}
+// monitorInterval is the RPS host-load sensor cadence; 1 s matches the
+// original toolkit.
+const monitorInterval = sim.Second
+
+// StartMonitor begins sampling every compute node at monitorInterval.
+func (g *Grid) StartMonitor() (*Monitor, error) {
 	m := &Monitor{
 		grid:      g,
-		interval:  interval,
 		sensors:   make(map[string]*rps.Sensor),
 		forecasts: make(map[string]*forecast),
 	}
@@ -57,7 +53,7 @@ func (g *Grid) StartMonitor(interval sim.Duration) (*Monitor, error) {
 			continue
 		}
 		host := node.host
-		sensor, err := rps.NewSensor(g.k, interval, 512, func() float64 {
+		sensor, err := rps.NewSensor(g.k, monitorInterval, 512, func() float64 {
 			return host.LoadAverage()
 		})
 		if err != nil {
@@ -147,7 +143,7 @@ func (m *Monitor) tick() {
 			gis.AttrLoad:      m.PredictedLoad(name),
 		}, 0)
 	}
-	m.next = m.grid.k.After(m.interval, m.tick)
+	m.next = m.grid.k.After(monitorInterval, m.tick)
 }
 
 // Ticks returns how many refresh rounds have run.

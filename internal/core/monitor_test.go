@@ -9,13 +9,12 @@ import (
 	"vmgrid/internal/placement"
 	"vmgrid/internal/rps"
 	"vmgrid/internal/sim"
-	"vmgrid/internal/telemetry"
 	"vmgrid/internal/trace"
 )
 
 func TestMonitorRefreshesPredictedLoad(t *testing.T) {
 	g := testbed(t)
-	m, err := g.StartMonitor(sim.Second)
+	m, err := g.StartMonitor()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +58,7 @@ func TestMonitorRefreshesPredictedLoad(t *testing.T) {
 
 func TestMonitorStopHaltsTicks(t *testing.T) {
 	g := testbed(t)
-	m, err := g.StartMonitor(sim.Second)
+	m, err := g.StartMonitor()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,18 +72,11 @@ func TestMonitorStopHaltsTicks(t *testing.T) {
 	m.Stop() // idempotent
 }
 
-func TestMonitorValidation(t *testing.T) {
-	g := testbed(t)
-	if _, err := g.StartMonitor(0); err == nil {
-		t.Error("zero interval accepted")
-	}
-}
-
 func TestMonitorQueryLanguageIntegration(t *testing.T) {
 	// The monitor's records are queryable through the URGIS-style
 	// language — the paper's resource-discovery flow end to end.
 	g := testbed(t)
-	m, err := g.StartMonitor(sim.Second)
+	m, err := g.StartMonitor()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,15 +120,13 @@ func freshForecast(t *testing.T, s *rps.Series) float64 {
 // forecast; telemetry on sends it to the scraped series instead.
 func TestPredictedLoadCacheMatchesFreshFit(t *testing.T) {
 	for _, withTelemetry := range []bool{false, true} {
-		g := testbed(t)
+		var opts []GridOption
 		if withTelemetry {
-			col, err := g.EnableTelemetry(telemetry.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			col.Start()
+			opts = append(opts, WithTelemetry())
 		}
-		m, err := g.StartMonitor(sim.Second)
+		g := testbed(t, opts...)
+		g.Telemetry().Start()
+		m, err := g.StartMonitor()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +177,7 @@ func TestPredictedLoadCacheMatchesFreshFit(t *testing.T) {
 // sensor history.
 func monitoredGrid(b *testing.B) *Monitor {
 	g := testbed(b)
-	m, err := g.StartMonitor(sim.Second)
+	m, err := g.StartMonitor()
 	if err != nil {
 		b.Fatal(err)
 	}

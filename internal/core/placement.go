@@ -18,10 +18,8 @@ import (
 
 // createOptions collects the functional options of CreateSession.
 type createOptions struct {
-	placer   placement.Placer
-	hint     string
-	priority int
-	fence    func() error
+	placer placement.Placer
+	hint   string
 }
 
 // CreateOption customizes one CreateSession call.
@@ -42,27 +40,6 @@ func WithPlacer(p placement.Placer) CreateOption {
 func WithNodeHint(node string) CreateOption {
 	return func(o *createOptions) { o.hint = node }
 }
-
-// WithPriority sets the session's eviction priority. The balancer
-// relieves hotspots lowest-priority-first, so a high-priority session
-// migrates only after its lower-priority neighbors. Default 0.
-func WithPriority(p int) CreateOption {
-	return func(o *createOptions) { o.priority = p }
-}
-
-// WithFence threads an admission fence into the session's start-vm
-// job: the gatekeeper evaluates it immediately before instantiation
-// and rejects the job on a non-nil error. Callers that race session
-// creation against their own failover machinery use it the way the
-// supervisor fences restores.
-func WithFence(fence func() error) CreateOption {
-	return func(o *createOptions) { o.fence = fence }
-}
-
-// SetDefaultPlacer installs a grid-wide placement policy consulted by
-// every CreateSession call that does not carry its own WithPlacer.
-// nil restores the information-service ranking default.
-func (g *Grid) SetDefaultPlacer(p placement.Placer) { g.defaultPlacer = p }
 
 // biReachable reports whether a and b can currently route to each
 // other in both directions — the requirement for any control-plane
@@ -150,11 +127,7 @@ func placeWith(p placement.Placer, req placement.Request, cands []placement.Cand
 // candidate path (filtering for a locally-required image) and applies
 // the hint, then the policy.
 func (g *Grid) placeFor(cfg SessionConfig, o createOptions, futures []gis.Entry) (*Node, error) {
-	placer := o.placer
-	if placer == nil {
-		placer = g.defaultPlacer
-	}
-	if placer == nil && o.hint == "" {
+	if o.placer == nil && o.hint == "" {
 		return g.nodes[futures[0].Name], nil
 	}
 	image := ""
@@ -172,7 +145,7 @@ func (g *Grid) placeFor(cfg SessionConfig, o createOptions, futures []gis.Entry)
 			}
 		}
 	}
-	name, ok := placeWith(placer, placement.Request{
+	name, ok := placeWith(o.placer, placement.Request{
 		User:        cfg.User,
 		Image:       cfg.Image,
 		Site:        cfg.Site,

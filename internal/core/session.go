@@ -190,9 +190,6 @@ type Session struct {
 	// slotRelease returns the current incarnation's compute slot; it is
 	// crash/reboot-safe (see Node.reserveSlot) and nil once released.
 	slotRelease func()
-	// priority is the balancer's eviction order (WithPriority): lower
-	// migrates first.
-	priority int
 	// migrating marks a live migration in flight; checkpoints and
 	// further migrations wait it out.
 	migrating bool
@@ -219,9 +216,6 @@ func (s *Session) TraceContext() obs.SpanContext { return s.sctx }
 
 // Epoch returns the session's current fencing epoch.
 func (s *Session) Epoch() int64 { return s.epoch }
-
-// Priority returns the session's eviction priority (WithPriority).
-func (s *Session) Priority() int { return s.priority }
 
 // Name returns the session's unique name.
 func (s *Session) Name() string { return s.name }
@@ -367,12 +361,10 @@ func (m *memBackend) Write(off, size int64, done func()) {
 // CreateSession runs the Figure 3 life cycle and delivers the ready
 // session (or the first error) to done. The returned session handle is
 // also usable immediately for inspection of progress. Options
-// customize placement and admission: WithPlacer / WithNodeHint steer
-// step 1's node choice through the shared placement path, WithPriority
-// orders balancer evictions, WithFence guards instantiation the way
-// supervisors fence restores. With no options the session places on
-// the information service's first-ranked future, exactly as before the
-// placement subsystem existed.
+// customize placement: WithPlacer / WithNodeHint steer step 1's node
+// choice through the shared placement path. With no options the
+// session places on the information service's first-ranked future,
+// exactly as before the placement subsystem existed.
 func (g *Grid) CreateSession(cfg SessionConfig, done func(*Session, error), opts ...CreateOption) (*Session, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -390,12 +382,11 @@ func (g *Grid) CreateSession(cfg SessionConfig, done func(*Session, error), opts
 	}
 	g.sessions++
 	s := &Session{
-		grid:     g,
-		cfg:      cfg,
-		id:       g.sessions,
-		name:     fmt.Sprintf("sess-%d-%s", g.sessions, cfg.User),
-		state:    StatePending,
-		priority: o.priority,
+		grid:  g,
+		cfg:   cfg,
+		id:    g.sessions,
+		name:  fmt.Sprintf("sess-%d-%s", g.sessions, cfg.User),
+		state: StatePending,
 	}
 	g.tracer.Metrics().Counter("core.sessions.submitted").Inc()
 	// The session's causal root: every span of its life cycle — phases,
@@ -445,17 +436,15 @@ func (g *Grid) CreateSession(cfg SessionConfig, done func(*Session, error), opts
 			// Steps 3-4: the data session for the image and the VM
 			// instantiation happen inside the globusrun envelope, as in
 			// Table 2's measurement.
-			client, err := gram.NewClient(g.net, g.registry, cfg.FrontEnd, front.host)
+			client, err := gram.NewClient(g.net, g.registry, cfg.FrontEnd, front.host, g.tracer)
 			if err != nil {
 				s.releaseSlot()
 				fail(err)
 				return
 			}
-			client.SetTracer(g.tracer)
 			job := gram.Job{
 				Name:   "start-vm:" + s.name,
 				User:   cfg.User,
-				Fence:  o.fence,
 				Ctx:    s.sctx,
 				RunCtx: func(ctx obs.SpanContext, jobDone func(error)) { s.instantiate(ctx, jobDone) },
 			}
@@ -862,7 +851,6 @@ func (g *Grid) vfsClient(fromNode, toNode string, s *Session) (*vfs.Client, erro
 	if lat > 5*sim.Millisecond {
 		cfg = vfs.WANConfig()
 	}
-	cfg.Retry = g.vfsRetry
 	cfg.Trace = g.tracer
 	if s != nil {
 		cfg.Fence = s.fence(toNode)

@@ -8,22 +8,22 @@ import (
 	"vmgrid/internal/gram"
 	"vmgrid/internal/guest"
 	"vmgrid/internal/obs"
-	"vmgrid/internal/placement"
 	"vmgrid/internal/retry"
 	"vmgrid/internal/sim"
 	"vmgrid/internal/vmm"
 )
 
+const (
+	// heartbeatInterval is how often the supervisor refreshes a charge's
+	// lease (and, for crashed charges, polls for lease expiry).
+	heartbeatInterval = 2 * sim.Second
+	// leaseTTL is the lease lifetime per refresh; a host must miss
+	// several heartbeats before its sessions are declared failed.
+	leaseTTL = 3 * heartbeatInterval
+)
+
 // SupervisorConfig tunes the self-healing session supervisor.
 type SupervisorConfig struct {
-	// HeartbeatInterval is how often the supervisor refreshes a charge's
-	// lease (and, for crashed charges, polls for lease expiry). Default
-	// 2 s.
-	HeartbeatInterval sim.Duration
-	// LeaseTTL is the lease lifetime per refresh; a host must miss
-	// several heartbeats before its sessions are declared failed.
-	// Default 3 × HeartbeatInterval.
-	LeaseTTL sim.Duration
 	// CheckpointInterval is how often the supervisor checkpoints each
 	// charge (stop-and-copy: suspend, stage the memory image and COW
 	// diff to stable storage, resume). Default 60 s.
@@ -36,14 +36,6 @@ type SupervisorConfig struct {
 	// gives up and fails the session's tasks with ErrLeaseExpired.
 	// Default 8.
 	MaxRecoveries int
-	// Placer ranks restore-target candidates. nil keeps the information
-	// service's ranking (first viable future) — the behavior every
-	// recovery experiment was calibrated against. The candidate list is
-	// built by the grid's shared placement path either way, so the
-	// viability filters (image, slots, bidirectional reachability from
-	// the stable node and the front end) are identical to session
-	// creation and balancer target selection.
-	Placer placement.Placer
 	// StageRetry governs the checkpoint staging copies (.mem/.cow to
 	// the stable node), the same way vfs mounts and GRAM submits take a
 	// retry policy: a transient fabric failure mid-stage re-attempts
@@ -53,12 +45,6 @@ type SupervisorConfig struct {
 }
 
 func (c *SupervisorConfig) fill() {
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = 2 * sim.Second
-	}
-	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = 3 * c.HeartbeatInterval
-	}
 	if c.CheckpointInterval <= 0 {
 		c.CheckpointInterval = 60 * sim.Second
 	}
@@ -307,7 +293,7 @@ func (sup *Supervisor) renewLease(c *charge) bool {
 	if err := sup.g.info.RegisterFrom(host, gis.KindLease, c.s.name, map[string]any{
 		gis.AttrHost:  host,
 		gis.AttrEpoch: c.epoch,
-	}, sup.cfg.LeaseTTL); err != nil {
+	}, leaseTTL); err != nil {
 		return false
 	}
 	c.lastRenew = sup.g.k.Now()
@@ -315,7 +301,7 @@ func (sup *Supervisor) renewLease(c *charge) bool {
 }
 
 func (sup *Supervisor) scheduleHeartbeat(c *charge) {
-	c.hbNext = sup.g.k.After(sup.cfg.HeartbeatInterval, func() { sup.heartbeat(c) })
+	c.hbNext = sup.g.k.After(heartbeatInterval, func() { sup.heartbeat(c) })
 }
 
 func (sup *Supervisor) scheduleCheckpoint(c *charge) {
@@ -596,7 +582,7 @@ func (sup *Supervisor) failover(c *charge) {
 		s.state = StateCrashed
 		c.failSpan.Note("no target available")
 		c.failSpan.End()
-		sup.g.k.After(sup.cfg.LeaseTTL, func() { c.recovering = false })
+		sup.g.k.After(leaseTTL, func() { c.recovering = false })
 		return
 	}
 	// Fence before the new incarnation can exist: bump the session's
@@ -609,7 +595,7 @@ func (sup *Supervisor) failover(c *charge) {
 		s.state = StateCrashed
 		c.failSpan.Note("no quorum for epoch bump")
 		c.failSpan.End()
-		sup.g.k.After(sup.cfg.LeaseTTL, func() { c.recovering = false })
+		sup.g.k.After(leaseTTL, func() { c.recovering = false })
 		return
 	}
 	c.epoch = ep
@@ -625,7 +611,7 @@ func (sup *Supervisor) failover(c *charge) {
 		release()
 		s.state = StateCrashed
 		c.failSpan.EndErr(err)
-		sup.g.k.After(sup.cfg.LeaseTTL, func() { c.recovering = false })
+		sup.g.k.After(leaseTTL, func() { c.recovering = false })
 	}
 
 	memName, cowName := c.ckptFiles(c.slot)
@@ -735,7 +721,7 @@ func (sup *Supervisor) fenceZombie(c *charge, epoch int64) {
 // and the front end (restore dispatch and its result) — a partitioned
 // host still advertises a stale future, and a half-dead node with a
 // muted transmit side would swallow the replies and hang the failover.
-// cfg.Placer then ranks what survives; nil keeps registry order.
+// The first survivor in registry order wins.
 func (sup *Supervisor) pickTarget(s *Session) *Node {
 	futures := sup.view().FindFutures(gis.FutureQuery{
 		MinMemBytes: s.cfg.MemBytes,
@@ -743,17 +729,10 @@ func (sup *Supervisor) pickTarget(s *Session) *Node {
 	})
 	cands := sup.g.futureCandidates(futures, s.cfg.Image, "",
 		sup.cfg.StableNode, s.cfg.FrontEnd)
-	name, ok := placeWith(sup.cfg.Placer, placement.Request{
-		Session:     s.name,
-		User:        s.cfg.User,
-		Image:       s.cfg.Image,
-		Site:        s.cfg.Site,
-		MinMemBytes: s.cfg.MemBytes,
-	}, cands)
-	if !ok {
+	if len(cands) == 0 {
 		return nil
 	}
-	return sup.g.nodes[name]
+	return sup.g.nodes[cands[0].Node]
 }
 
 // dispatchRestore submits the restore job through GRAM from the
@@ -765,14 +744,16 @@ func (sup *Supervisor) dispatchRestore(c *charge, target *Node, release func()) 
 		release()
 		s.state = StateCrashed
 		c.failSpan.EndErr(err)
-		sup.g.k.After(sup.cfg.LeaseTTL, func() { c.recovering = false })
+		sup.g.k.After(leaseTTL, func() { c.recovering = false })
 	}
 	front := sup.g.nodes[s.cfg.FrontEnd]
 	if front == nil || front.crashed {
 		abort(fmt.Errorf("%w: front end %q", ErrUnknownNode, s.cfg.FrontEnd))
 		return
 	}
-	client, err := gram.NewClient(sup.g.net, sup.g.registry, front.name, front.host)
+	// The dispatch client is untraced; the gatekeeper's handler span
+	// records the restore under the failover's trace.
+	client, err := gram.NewClient(sup.g.net, sup.g.registry, front.name, front.host, nil)
 	if err != nil {
 		abort(err)
 		return

@@ -5,37 +5,22 @@ import (
 	"sort"
 
 	"vmgrid/internal/gis"
-	"vmgrid/internal/sim"
 	"vmgrid/internal/telemetry"
 	"vmgrid/internal/vfs"
 )
 
-// EnableTelemetry attaches a telemetry collector to the grid: every
+// attachTelemetry builds the grid's collector (WithTelemetry): every
 // scrape records per-node gauges (runnable processes, load average,
 // free slots, crash state, and — once StartMonitor runs — the RPS
 // predicted load), per-session gauges (VM slowdown, VFS cache hit
-// rate, retry and transport-error counters), and supervisor lease ages,
-// plus the grid tracer's metrics registry when a tracer is set. The
-// standard SLO rules (see DefaultAlertRules) are installed, and alert
+// rate, retry and transport-error counters), supervisor lease ages,
+// GIS replication health, and chunk-plane dedup counters. Alert
 // firings are mirrored into GIS soft state as KindAlert entries so
 // middleware discovers SLO violations the way it discovers hosts.
-//
-// Call EnableTelemetry after SetTracer (the tracer registry is captured
-// here); supervisors and the monitor may be created before or after.
-// The collector is returned for rule registration and export; it is
-// also reachable via Telemetry. Scraping only reads fabric state, so
-// enabling telemetry never changes simulation outcomes.
-func (g *Grid) EnableTelemetry(cfg telemetry.Config) (*telemetry.Collector, error) {
-	if g.telemetry != nil {
-		return nil, fmt.Errorf("core: telemetry already enabled")
-	}
-	if cfg.Trace == nil {
-		cfg.Trace = g.tracer
-	}
-	col, err := telemetry.NewCollector(g.k, cfg)
-	if err != nil {
-		return nil, err
-	}
+// Scraping only reads fabric state, so telemetry never changes
+// simulation outcomes.
+func (g *Grid) attachTelemetry() {
+	col := telemetry.NewCollector(g.k, g.tracer)
 	g.telemetry = col
 
 	col.AddSource(g.scrapeNodes)
@@ -43,9 +28,6 @@ func (g *Grid) EnableTelemetry(cfg telemetry.Config) (*telemetry.Collector, erro
 	col.AddSource(g.scrapeLeases)
 	col.AddSource(g.scrapeGIS)
 	col.AddSource(g.scrapeStaging)
-	if g.tracer != nil {
-		col.AttachRegistry("grid", g.tracer.Metrics())
-	}
 
 	// Mirror firings into the information service: alerts are soft state
 	// like everything else in the GIS, keyed rule/series.
@@ -62,38 +44,34 @@ func (g *Grid) EnableTelemetry(cfg telemetry.Config) (*telemetry.Collector, erro
 	col.OnResolve(func(f telemetry.Firing) {
 		g.info.Deregister(gis.KindAlert, f.Rule+"/"+f.Series)
 	})
-	return col, nil
 }
 
-// Telemetry returns the grid's collector (nil when telemetry is off —
+// Telemetry returns the grid's collector (nil without WithTelemetry —
 // and a nil collector is itself safe to use).
 func (g *Grid) Telemetry() *telemetry.Collector { return g.telemetry }
 
-// DefaultAlertRules installs the standard SLO rules against the
-// supervisor heartbeat interval hb (pass 0 for the 2 s default):
+// DefaultAlertRules installs the standard SLO rules:
 //
 //   - slowdown: mean VM slowdown over 30 s exceeds Figure 1's ≤10%
 //     virtualization budget for 30 s.
 //   - stale-lease: a session's lease has not been renewed for more than
-//     2×heartbeat — the telemetry-side shadow of the supervisor's
-//     lease-expiry failure detector (which waits for the 3×hb TTL).
+//     two supervisor heartbeats — the telemetry-side shadow of the
+//     supervisor's lease-expiry failure detector (which waits for the
+//     three-heartbeat lease TTL).
 //   - vfs-retry-storm: the per-session VFS retry counter grows faster
 //     than 5/s over 10 s — a flapping link or dying server.
 //   - split-brain-risk: minority-side registry writes are being
 //     rejected — some node is partitioned from the GIS quorum and its
 //     sessions are failover candidates. (The series only exists on
 //     replicated grids, so the rule is inert otherwise.)
-func (g *Grid) DefaultAlertRules(hb sim.Duration) error {
+func (g *Grid) DefaultAlertRules() error {
 	col := g.telemetry
 	if col == nil {
 		return fmt.Errorf("core: default alert rules without telemetry")
 	}
-	if hb <= 0 {
-		hb = 2 * sim.Second
-	}
 	rules := []struct{ name, expr string }{
 		{"slowdown", "mean(session.slowdown, 30s) > 1.10 for 30s"},
-		{"stale-lease", fmt.Sprintf("last(lease.age) > %g", (2 * hb).Seconds())},
+		{"stale-lease", fmt.Sprintf("last(lease.age) > %g", (2 * heartbeatInterval).Seconds())},
 		{"vfs-retry-storm", "rate(vfs.retries, 10s) > 5"},
 		{"split-brain-risk", "rate(gis.minority_writes, 10s) > 0"},
 	}

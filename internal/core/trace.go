@@ -1,35 +1,12 @@
 package core
 
-// Tracing glue: the grid owns at most one obs.Tracer, shared by every
-// layer it builds (sessions, VFS mounts, GRAM clients, VMMs, the
+// Tracing glue: the grid owns at most one obs.Tracer, built by NewGrid
+// (WithTracing or WithFlightRecorder) and shared by every layer it
+// builds (sessions, VFS mounts, GRAM clients and gatekeepers, VMMs, the
 // supervisor). Tracing is off by default — the nil tracer's no-op fast
-// path keeps instrumented code free — and is enabled per grid with
-// SetTracer before sessions are created.
+// path keeps instrumented code free.
 
 import "vmgrid/internal/obs"
-
-// SetTracer enables observability for everything the grid does from now
-// on. Call it right after NewGrid: components capture the tracer when
-// they are built, so sessions created earlier stay untraced. A nil
-// tracer disables tracing (the default). The tracer's causal id stream
-// is seeded from the grid seed, so trace and span ids are a pure
-// function of (seed, recording order) — identical across runs and
-// worker counts. If a flight recorder was enabled first, the tracer is
-// attached to it.
-func (g *Grid) SetTracer(t *obs.Tracer) {
-	g.tracer = t
-	t.SeedIDs(g.seed)
-	if g.recorder != nil {
-		t.SetFlightRecorder(g.recorder)
-	}
-	// Gatekeepers of already-attached nodes pick up the tracer too, so
-	// server-side handler spans appear regardless of call order.
-	for _, n := range g.nodes {
-		if n.gk != nil {
-			n.gk.SetTracer(t)
-		}
-	}
-}
 
 // Tracer returns the grid's tracer (nil when tracing is off; the nil
 // value is safe to use).

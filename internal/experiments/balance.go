@@ -160,15 +160,12 @@ func quantile(vs []float64, q float64) float64 {
 // hotspots with fenced live migrations.
 func balanceRun(seed uint64, demands []float64, placer placement.Placer, balance bool) (balanceArm, error) {
 	var arm balanceArm
-	g := core.NewGrid(seed)
-	k := g.Kernel()
 	// The telemetry pipeline supplies the balancer's load signal (the
 	// monitor's predicted-load series lands in the TSDB via the scrape
 	// loop) and the per-node utilization series the spread is read from.
-	col, err := g.EnableTelemetry(telemetry.Config{})
-	if err != nil {
-		return arm, err
-	}
+	g := core.NewGrid(seed, core.WithTelemetry())
+	k := g.Kernel()
+	col := g.Telemetry()
 	col.Start()
 	computes := []string{"c1", "c2", "c3"}
 	for _, cfg := range []core.NodeConfig{
@@ -193,7 +190,7 @@ func balanceRun(seed uint64, demands []float64, placer placement.Placer, balance
 	}
 	// The monitor feeds the predicted-load policy and the balancer: raw
 	// 1 s load samples, AR forecasts republished into the VM futures.
-	mon, err := g.StartMonitor(sim.Second)
+	mon, err := g.StartMonitor()
 	if err != nil {
 		return arm, err
 	}

@@ -167,7 +167,11 @@ func AblationDelta(seed uint64, samples, workers int) ([]DeltaRow, error) {
 // the historical whole-file transfer on every path.
 func deltaRun(seed uint64, chunkBytes int64, interval sim.Duration) (deltaArm, error) {
 	var arm deltaArm
-	g := core.NewGrid(seed)
+	var opts []core.GridOption
+	if chunkBytes > 0 {
+		opts = append(opts, core.WithChunkedStaging(chunk.Config{ChunkBytes: chunkBytes}))
+	}
+	g := core.NewGrid(seed, opts...)
 	k := g.Kernel()
 	net := g.Net()
 	for _, cfg := range []core.NodeConfig{
@@ -183,10 +187,7 @@ func deltaRun(seed uint64, chunkBytes int64, interval sim.Duration) (deltaArm, e
 	if err := g.Net().BuildLAN("front", "c1", "data", "images"); err != nil {
 		return arm, err
 	}
-	var plane *chunk.Plane
-	if chunkBytes > 0 {
-		plane = g.EnableChunkedStaging(chunk.Config{ChunkBytes: chunkBytes})
-	}
+	plane := g.ChunkPlane()
 	img := storage.ImageInfo{Name: "rh72", OS: "rh72", DiskBytes: deltaDiskBytes, MemBytes: deltaMemBytes}
 	if err := g.Node("images").InstallImage(img); err != nil {
 		return arm, err

@@ -213,13 +213,10 @@ func fig1Scenario(cfg Fig1Config, baseline float64, seed uint64, load trace.Clas
 	}
 	var col *telemetry.Collector
 	if cfg.Telemetry != nil {
-		var err error
 		// Figure 1 has no Grid, so the scenario hosts a raw collector: the
 		// sample loop observes each task's slowdown, and the figure's ≤10%
 		// virtualization budget doubles as the SLO under test.
-		if col, err = telemetry.NewCollector(k, telemetry.Config{Trace: otr}); err != nil {
-			return Fig1Row{}, nil, nil, err
-		}
+		col = telemetry.NewCollector(k, otr)
 		if err := col.AddRule("slowdown", "mean(task.slowdown, 30s) > 1.10 for 30s"); err != nil {
 			return Fig1Row{}, nil, nil, err
 		}

@@ -12,7 +12,6 @@ import (
 	"vmgrid/internal/hw"
 	"vmgrid/internal/sim"
 	"vmgrid/internal/storage"
-	"vmgrid/internal/telemetry"
 	"vmgrid/internal/vmm"
 )
 
@@ -142,13 +141,10 @@ func AblationPartition(seed uint64, samples, workers int) ([]PartitionRow, error
 // even when unused — so the fault schedule replays verbatim.
 func partitionRun(seed uint64, dur sim.Duration, count int) (partitionArm, error) {
 	var arm partitionArm
-	g := core.NewGrid(seed)
+	g := core.NewGrid(seed, core.WithTelemetry())
 	k := g.Kernel()
-	col, err := g.EnableTelemetry(telemetry.Config{})
-	if err != nil {
-		return arm, err
-	}
-	if err := g.DefaultAlertRules(0); err != nil {
+	col := g.Telemetry()
+	if err := g.DefaultAlertRules(); err != nil {
 		return arm, err
 	}
 	col.Start()
@@ -170,7 +166,7 @@ func partitionRun(seed uint64, dur sim.Duration, count int) (partitionArm, error
 		return arm, err
 	}
 	homes := []string{"data", "g2", "g3", "g4", "g5"}[:count]
-	cl, err := g.EnableGISReplication(homes, 0)
+	cl, err := g.EnableGISReplication(homes)
 	if err != nil {
 		return arm, err
 	}

@@ -11,7 +11,6 @@ import (
 	"vmgrid/internal/obs"
 	"vmgrid/internal/sim"
 	"vmgrid/internal/storage"
-	"vmgrid/internal/telemetry"
 	"vmgrid/internal/vmm"
 )
 
@@ -182,23 +181,20 @@ func ablationRecovery(seed uint64, samples, workers int, set *obs.IncidentSet) (
 // otherwise — the zero-cost disabled path).
 func recoveryRun(crashSeed uint64, mtbf, interval sim.Duration, record bool) (recoveryArm, *obs.FlightRecorder, error) {
 	var arm recoveryArm
-	g := core.NewGrid(crashSeed)
-	k := g.Kernel()
-	var rec *obs.FlightRecorder
-	if record {
-		rec = g.EnableFlightRecorder(obs.FlightConfig{})
-	}
 	// The telemetry pipeline runs alongside the supervisor with the
 	// standard SLO rules: its stale-lease alert (2×heartbeat) is an
 	// independent shadow of the lease-expiry failure detector
 	// (3×heartbeat TTL), and the firing count per run is reported so the
 	// two detection paths cross-check each other. Scraping is read-only,
 	// so the measured recovery numbers are unchanged by it.
-	col, err := g.EnableTelemetry(telemetry.Config{})
-	if err != nil {
-		return arm, nil, err
+	opts := []core.GridOption{core.WithTelemetry()}
+	if record {
+		opts = append(opts, core.WithFlightRecorder())
 	}
-	if err := g.DefaultAlertRules(0); err != nil {
+	g := core.NewGrid(crashSeed, opts...)
+	k := g.Kernel()
+	rec, col := g.Recorder(), g.Telemetry()
+	if err := g.DefaultAlertRules(); err != nil {
 		return arm, nil, err
 	}
 	col.Start()

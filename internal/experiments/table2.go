@@ -125,19 +125,17 @@ func Table2(cfg Table2Config) ([]Table2Row, error) {
 // the sample's tracer, and with telemetered set its telemetry collector
 // (nil otherwise — the free disabled paths).
 func table2Sample(seed uint64, mode vmm.StartMode, disk core.DiskPolicy, access core.ImageAccess, traced, telemetered bool) (float64, *obs.Tracer, *telemetry.Collector, error) {
-	g := core.NewGrid(seed)
-	var tr *obs.Tracer
+	var opts []core.GridOption
 	if traced {
-		tr = obs.New(g.Kernel())
-		g.SetTracer(tr)
+		opts = append(opts, core.WithTracing())
 	}
-	var col *telemetry.Collector
 	if telemetered {
-		var err error
-		if col, err = g.EnableTelemetry(telemetry.Config{}); err != nil {
-			return 0, nil, nil, err
-		}
-		if err := g.DefaultAlertRules(0); err != nil {
+		opts = append(opts, core.WithTelemetry())
+	}
+	g := core.NewGrid(seed, opts...)
+	tr, col := g.Tracer(), g.Telemetry()
+	if telemetered {
+		if err := g.DefaultAlertRules(); err != nil {
 			return 0, nil, nil, err
 		}
 		// Self-tick once per simulated second; the session-ready callback

@@ -86,9 +86,8 @@ const (
 	gossipPerEntryBytes = 256
 )
 
-// DefaultGossipInterval is the anti-entropy cadence when the caller
-// passes zero.
-const DefaultGossipInterval = 1 * sim.Second
+// gossipInterval is the anti-entropy cadence.
+const gossipInterval = 1 * sim.Second
 
 // Cluster replicates a registry across netsim nodes. Writes are
 // synchronous quorum operations (control-plane RPC latency is folded
@@ -106,7 +105,6 @@ type Cluster struct {
 	keys []string
 
 	seq            uint64
-	gossipEvery    sim.Duration
 	running        bool
 	minorityWrites uint64
 	gossipRounds   uint64
@@ -115,9 +113,8 @@ type Cluster struct {
 // NewCluster replicates primary across the named netsim nodes (which
 // must exist and be distinct). The primary becomes replica 0, pinned to
 // nodes[0]; the remaining replicas start as copies of its current
-// state. gossipEvery ≤ 0 selects DefaultGossipInterval. Anti-entropy
-// does not run until Start.
-func NewCluster(net *netsim.Network, primary *Service, nodes []string, gossipEvery sim.Duration) (*Cluster, error) {
+// state. Anti-entropy does not run until Start.
+func NewCluster(net *netsim.Network, primary *Service, nodes []string) (*Cluster, error) {
 	if primary.cluster != nil {
 		return nil, fmt.Errorf("gis: service already replicated")
 	}
@@ -134,10 +131,7 @@ func NewCluster(net *netsim.Network, primary *Service, nodes []string, gossipEve
 		}
 		seen[n] = true
 	}
-	if gossipEvery <= 0 {
-		gossipEvery = DefaultGossipInterval
-	}
-	c := &Cluster{k: primary.k, net: net, gossipEvery: gossipEvery, ids: make(map[string]int32, len(primary.records))}
+	c := &Cluster{k: primary.k, net: net, ids: make(map[string]int32, len(primary.records))}
 	for i, n := range nodes {
 		svc := primary
 		if i > 0 {
@@ -175,7 +169,7 @@ func (c *Cluster) Start() {
 		return
 	}
 	c.running = true
-	c.k.After(c.gossipEvery, c.tick)
+	c.k.After(gossipInterval, c.tick)
 }
 
 // Stop halts anti-entropy after the currently scheduled round.
@@ -187,7 +181,7 @@ func (c *Cluster) tick() {
 	}
 	c.gossipRounds++
 	c.gossip()
-	c.k.After(c.gossipEvery, c.tick)
+	c.k.After(gossipInterval, c.tick)
 }
 
 // gossip pushes every replica's full state to every peer it can send

@@ -20,7 +20,7 @@ func lanCluster(t *testing.T, k *sim.Kernel, n int, nodes ...string) (*netsim.Ne
 		t.Fatal(err)
 	}
 	svc := New(k)
-	c, err := NewCluster(net, svc, nodes[:n], 0)
+	c, err := NewCluster(net, svc, nodes[:n])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestLagMatchesBruteForceMax(t *testing.T) {
 		}
 	}
 	_ = k.RunUntil(sim.Time(sim.Second))
-	c, err := NewCluster(net, svc, nodes, 0)
+	c, err := NewCluster(net, svc, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func BenchmarkGISLag(b *testing.B) {
 		b.Fatal(err)
 	}
 	svc := New(k)
-	c, err := NewCluster(net, svc, nodes, 0)
+	c, err := NewCluster(net, svc, nodes)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -92,18 +92,15 @@ type Gatekeeper struct {
 	trace      *obs.Tracer
 }
 
-// NewGatekeeper starts a gatekeeper on host.
-func NewGatekeeper(host *hostos.Host) *Gatekeeper {
-	return &Gatekeeper{host: host, authorized: make(map[string]bool)}
+// NewGatekeeper starts a gatekeeper on host. A non-nil tr records a
+// server-side handler span per accepted job, re-parented under the
+// submitting side's context when the job carries one.
+func NewGatekeeper(host *hostos.Host, tr *obs.Tracer) *Gatekeeper {
+	return &Gatekeeper{host: host, authorized: make(map[string]bool), trace: tr}
 }
 
 // Host returns the gatekeeper's machine.
 func (g *Gatekeeper) Host() *hostos.Host { return g.host }
-
-// SetTracer records a server-side handler span per accepted job into
-// tr, re-parented under the submitting side's context when the job
-// carries one. A nil tracer (the default) disables tracing.
-func (g *Gatekeeper) SetTracer(tr *obs.Tracer) { g.trace = tr }
 
 // Accepted returns the number of jobs accepted so far.
 func (g *Gatekeeper) Accepted() uint64 { return g.accepted }
@@ -179,17 +176,14 @@ type Client struct {
 	trace    *obs.Tracer
 }
 
-// SetTracer records a span per submission (the full globusrun
-// envelope) into tr. A nil tracer (the default) disables tracing.
-func (c *Client) SetTracer(tr *obs.Tracer) { c.trace = tr }
-
 // NewClient creates a submitting client at clientNode, running its
-// local work on clientHost.
-func NewClient(net *netsim.Network, registry *Registry, clientNode string, clientHost *hostos.Host) (*Client, error) {
+// local work on clientHost. A non-nil tr records a span per submission
+// (the full globusrun envelope).
+func NewClient(net *netsim.Network, registry *Registry, clientNode string, clientHost *hostos.Host, tr *obs.Tracer) (*Client, error) {
 	if net.Node(clientNode) == nil {
 		return nil, fmt.Errorf("gram: client node %q not attached", clientNode)
 	}
-	return &Client{net: net, registry: registry, node: clientNode, host: clientHost}, nil
+	return &Client{net: net, registry: registry, node: clientNode, host: clientHost, trace: tr}, nil
 }
 
 // Submit sends a job to the gatekeeper at serverNode and invokes done

@@ -36,8 +36,8 @@ func newGrid(t *testing.T) *grid {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	reg.Add("compute", NewGatekeeper(server))
-	c, err := NewClient(n, reg, "front", clientH)
+	reg.Add("compute", NewGatekeeper(server, nil))
+	c, err := NewClient(n, reg, "front", clientH, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestStageErrors(t *testing.T) {
 
 func TestClientValidation(t *testing.T) {
 	g := newGrid(t)
-	if _, err := NewClient(g.net, g.registry, "ghost", g.clientH); err == nil {
+	if _, err := NewClient(g.net, g.registry, "ghost", g.clientH, nil); err == nil {
 		t.Error("client at unknown node accepted")
 	}
 }

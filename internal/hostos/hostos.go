@@ -19,14 +19,14 @@ import (
 	"vmgrid/internal/sim"
 )
 
-// Defaults for the time-sharing model, matching a Linux 2.4-era kernel on
-// the paper's hardware.
+// The time-sharing model, matching a Linux 2.4-era kernel on the
+// paper's hardware.
 const (
-	// DefaultQuantum is the scheduler time slice.
-	DefaultQuantum = 10 * sim.Millisecond
-	// DefaultCtxSwitchCost is the direct plus cache-disturbance cost of
+	// Quantum is the scheduler time slice.
+	Quantum = 10 * sim.Millisecond
+	// CtxSwitchCost is the direct plus cache-disturbance cost of
 	// one context switch.
-	DefaultCtxSwitchCost = 60 * sim.Microsecond
+	CtxSwitchCost = 60 * sim.Microsecond
 )
 
 // Host is one physical node running a host operating system.
@@ -35,9 +35,6 @@ type Host struct {
 	spec  hw.MachineSpec
 	disk  *hw.Disk
 	cache *BufferCache
-
-	quantum sim.Duration
-	ctxCost sim.Duration
 
 	procs  []*Process
 	nextID int
@@ -49,37 +46,19 @@ type Host struct {
 	scratchUncapped []int
 }
 
-// Option configures a Host.
-type Option func(*Host)
-
-// WithQuantum overrides the scheduler quantum.
-func WithQuantum(q sim.Duration) Option {
-	return func(h *Host) { h.quantum = q }
-}
-
-// WithCtxSwitchCost overrides the per-context-switch cost.
-func WithCtxSwitchCost(c sim.Duration) Option {
-	return func(h *Host) { h.ctxCost = c }
-}
-
 // New boots a host OS on the given hardware.
-func New(k *sim.Kernel, spec hw.MachineSpec, opts ...Option) (*Host, error) {
+func New(k *sim.Kernel, spec hw.MachineSpec) (*Host, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("hostos: %w", err)
 	}
 	h := &Host{
-		k:       k,
-		spec:    spec,
-		disk:    hw.NewDisk(k, spec.Disk),
-		quantum: DefaultQuantum,
-		ctxCost: DefaultCtxSwitchCost,
+		k:    k,
+		spec: spec,
+		disk: hw.NewDisk(k, spec.Disk),
 	}
 	// The buffer cache gets roughly what Linux would leave free on the
 	// paper's 512 MB host after the kernel and resident daemons.
 	h.cache = NewBufferCache(h.disk, spec.MemBytes*6/10)
-	for _, opt := range opts {
-		opt(h)
-	}
 	return h, nil
 }
 
@@ -222,8 +201,8 @@ func (h *Host) rebalance() {
 		}
 	}
 	eff := 1.0
-	if sharing > 1 && h.quantum > 0 {
-		eff = 1 - h.ctxCost.Seconds()/h.quantum.Seconds()
+	if sharing > 1 {
+		eff = 1 - CtxSwitchCost.Seconds()/Quantum.Seconds()
 		if eff < 0 {
 			eff = 0
 		}

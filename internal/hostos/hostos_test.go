@@ -46,7 +46,7 @@ func TestTwoCPUBoundProcessesShare(t *testing.T) {
 	a.SetDemand(1)
 	b.SetDemand(1)
 	// Equal weights halve the core, minus context-switch overhead.
-	eff := 1 - DefaultCtxSwitchCost.Seconds()/DefaultQuantum.Seconds()
+	eff := 1 - CtxSwitchCost.Seconds()/Quantum.Seconds()
 	want := h.Capacity() / 2 * eff
 	if math.Abs(a.Rate()-want) > 1e-9 || math.Abs(b.Rate()-want) > 1e-9 {
 		t.Fatalf("rates = %v, %v; want %v each", a.Rate(), b.Rate(), want)
@@ -60,7 +60,7 @@ func TestLightDemandIsSatisfiedFirst(t *testing.T) {
 	light := h.Spawn("light")
 	hog.SetDemand(1)
 	light.SetDemand(0.2)
-	eff := 1 - DefaultCtxSwitchCost.Seconds()/DefaultQuantum.Seconds()
+	eff := 1 - CtxSwitchCost.Seconds()/Quantum.Seconds()
 	// Max-min fairness: light gets its 0.2, hog gets the remaining 0.8.
 	if math.Abs(light.Rate()-0.2*eff) > 1e-9 {
 		t.Errorf("light rate = %v, want %v", light.Rate(), 0.2*eff)
@@ -78,7 +78,7 @@ func TestWeightsBiasAllocation(t *testing.T) {
 	a.SetWeight(3)
 	a.SetDemand(1)
 	b.SetDemand(1)
-	eff := 1 - DefaultCtxSwitchCost.Seconds()/DefaultQuantum.Seconds()
+	eff := 1 - CtxSwitchCost.Seconds()/Quantum.Seconds()
 	if math.Abs(a.Rate()-0.75*eff) > 1e-9 {
 		t.Errorf("a rate = %v, want %v", a.Rate(), 0.75*eff)
 	}
@@ -166,7 +166,7 @@ func TestRunWorkUnderContention(t *testing.T) {
 	k.Run()
 	// Two CPU-bound processes: job runs at ~half speed, so ~20s plus
 	// context-switch overhead.
-	eff := 1 - DefaultCtxSwitchCost.Seconds()/DefaultQuantum.Seconds()
+	eff := 1 - CtxSwitchCost.Seconds()/Quantum.Seconds()
 	want := 20.0 / eff
 	if math.Abs(doneAt.Seconds()-want) > 0.01 {
 		t.Fatalf("contended completion at %vs, want ~%vs", doneAt.Seconds(), want)

@@ -35,38 +35,23 @@ type FlightRecorder struct {
 	sealed  []*Incident
 	open    []*Incident
 	dropped int
-
-	cfg FlightConfig
 }
 
-// FlightConfig bounds the recorder.
-type FlightConfig struct {
-	// SpanCap is the ring capacity (default 512 completed spans).
-	SpanCap int
-	// MaxIncidents bounds retained incident bundles, open + sealed;
-	// triggers beyond it are counted in Dropped (default 16).
-	MaxIncidents int
-	// MaxCausal bounds the causal capture of one open incident; an
-	// incident that outgrows it seals early (default 4096 spans).
-	MaxCausal int
-}
-
-func (c *FlightConfig) fill() {
-	if c.SpanCap <= 0 {
-		c.SpanCap = 512
-	}
-	if c.MaxIncidents <= 0 {
-		c.MaxIncidents = 16
-	}
-	if c.MaxCausal <= 0 {
-		c.MaxCausal = 4096
-	}
-}
+// The recorder's bounds.
+const (
+	// flightSpanCap is the ring capacity in completed spans.
+	flightSpanCap = 512
+	// flightMaxIncidents bounds retained incident bundles, open +
+	// sealed; triggers beyond it are counted in Dropped.
+	flightMaxIncidents = 16
+	// flightMaxCausal bounds the causal capture of one open incident;
+	// an incident that outgrows it seals early.
+	flightMaxCausal = 4096
+)
 
 // NewFlightRecorder returns a recorder reading the given clock.
-func NewFlightRecorder(clock Clock, cfg FlightConfig) *FlightRecorder {
-	cfg.fill()
-	return &FlightRecorder{clock: clock, ring: make([]SpanRecord, 0, cfg.SpanCap), cfg: cfg}
+func NewFlightRecorder(clock Clock) *FlightRecorder {
+	return &FlightRecorder{clock: clock, ring: make([]SpanRecord, 0, flightSpanCap)}
 }
 
 // Incident is one frozen bundle: what the grid looked like when the
@@ -107,11 +92,11 @@ func (r *FlightRecorder) noteSpan(rec SpanRecord) {
 		return
 	}
 	r.seen++
-	if len(r.ring) < r.cfg.SpanCap {
+	if len(r.ring) < flightSpanCap {
 		r.ring = append(r.ring, rec)
 	} else {
 		r.ring[r.next] = rec
-		r.next = (r.next + 1) % r.cfg.SpanCap
+		r.next = (r.next + 1) % flightSpanCap
 		r.full = true
 	}
 	if len(r.open) == 0 {
@@ -124,7 +109,7 @@ func (r *FlightRecorder) noteSpan(rec SpanRecord) {
 			continue
 		}
 		inc.Causal = append(inc.Causal, rec)
-		if rec.ID == inc.Root.Span || len(inc.Causal) >= r.cfg.MaxCausal {
+		if rec.ID == inc.Root.Span || len(inc.Causal) >= flightMaxCausal {
 			r.seal(inc)
 		}
 	}
@@ -191,7 +176,7 @@ func slug(s string) string {
 // newIncident allocates the bundle shell shared by Open and FreezeNow,
 // or nil when the incident budget is spent.
 func (r *FlightRecorder) newIncident(trigger, subject string) *Incident {
-	if len(r.sealed)+len(r.open) >= r.cfg.MaxIncidents {
+	if len(r.sealed)+len(r.open) >= flightMaxIncidents {
 		r.dropped++
 		return nil
 	}

@@ -186,25 +186,6 @@ func TestPhaseStats(t *testing.T) {
 	}
 }
 
-func TestMergedMetrics(t *testing.T) {
-	mk := func(n float64) *Tracer {
-		tr := New(&fakeClock{})
-		tr.Metrics().Counter("ops").Add(n)
-		tr.Metrics().Histogram("lat").Observe(sim.Duration(n) * sim.Millisecond)
-		return tr
-	}
-	ts := NewTraceSet()
-	ts.Add("a", mk(2))
-	ts.Add("b", mk(3))
-	s := ts.MergedMetrics()
-	if len(s.Counters) != 1 || s.Counters[0].Value != 5 {
-		t.Errorf("merged counters = %+v", s.Counters)
-	}
-	if len(s.Histograms) != 1 || s.Histograms[0].Count != 2 {
-		t.Errorf("merged histograms = %+v", s.Histograms)
-	}
-}
-
 func TestHistBucketBoundaries(t *testing.T) {
 	cases := []struct {
 		d    sim.Duration

@@ -7,28 +7,13 @@ import (
 	"vmgrid/internal/sim"
 )
 
-// Config tunes a Collector. The zero value selects the defaults noted
-// on each field.
-type Config struct {
-	// Interval is the scrape cadence when the collector self-ticks via
-	// Start. Default 1 s (the RPS sensor cadence).
-	Interval sim.Duration
-	// History is the per-series ring capacity. Default 512.
-	History int
-	// Trace, when non-nil, receives alert firings as instant events on
-	// an "alerts" track and counts them in the metrics registry, so
-	// alerts land in the Chrome trace next to the spans they explain.
-	Trace *obs.Tracer
-}
-
-func (c *Config) fill() {
-	if c.Interval <= 0 {
-		c.Interval = sim.Second
-	}
-	if c.History <= 0 {
-		c.History = 512
-	}
-}
+const (
+	// scrapeInterval is the scrape cadence when the collector
+	// self-ticks via Start (the RPS sensor cadence).
+	scrapeInterval = sim.Second
+	// seriesHistory is the per-series ring capacity.
+	seriesHistory = 512
+)
 
 // Source is one scrape callback: read fabric state, record samples.
 // Sources must only read simulation state — the collector promises that
@@ -50,28 +35,24 @@ func (r *Recorder) Record(name string, v float64, labels ...Label) {
 	r.db.Record(r.at, name, labels, v)
 }
 
-// registryFeed is one attached obs registry, scraped by snapshot.
-type registryFeed struct {
-	src string
-	reg *obs.Registry
-}
-
-// Collector owns the pipeline: registered sources and obs registries
-// are scraped into the DB, then the rule engine evaluates. A nil
-// Collector is the disabled state — every method is a nil-receiver
-// no-op costing one pointer test.
+// Collector owns the pipeline: registered sources are scraped into the
+// DB, then the rule engine evaluates. A nil Collector is the disabled
+// state — every method is a nil-receiver no-op costing one pointer
+// test.
 //
 // Scrapes run either manually (Scrape, for drivers that must keep the
 // kernel's event queue drainable, like the wire server) or on a
 // self-armed tick (Start, for experiments that bound the kernel with
 // RunUntil horizons).
 type Collector struct {
-	k   *sim.Kernel
-	cfg Config
-	db  *DB
+	k  *sim.Kernel
+	db *DB
+	// trace, when non-nil, receives alert firings as instant events on
+	// an "alerts" track and counts them in its metrics registry, so
+	// alerts land in the Chrome trace next to the spans they explain.
+	trace *obs.Tracer
 
 	sources []Source
-	feeds   []registryFeed
 	engine  *Engine
 
 	running    bool
@@ -80,19 +61,13 @@ type Collector struct {
 	lastScrape sim.Time
 }
 
-// NewCollector creates an enabled collector on the kernel's clock.
-func NewCollector(k *sim.Kernel, cfg Config) (*Collector, error) {
-	if k == nil {
-		return nil, fmt.Errorf("telemetry: collector without a kernel")
-	}
-	cfg.fill()
-	db, err := NewDB(cfg.History)
-	if err != nil {
-		return nil, err
-	}
-	c := &Collector{k: k, cfg: cfg, db: db, lastScrape: -1}
+// NewCollector creates an enabled collector on the kernel's clock;
+// trace may be nil.
+func NewCollector(k *sim.Kernel, trace *obs.Tracer) *Collector {
+	db, _ := NewDB(seriesHistory) // a positive history cannot fail
+	c := &Collector{k: k, db: db, trace: trace, lastScrape: -1}
 	c.engine = newEngine(c)
-	return c, nil
+	return c
 }
 
 // Enabled reports whether the collector records anything.
@@ -114,14 +89,6 @@ func (c *Collector) Scrapes() int {
 	return c.scrapes
 }
 
-// Interval returns the configured scrape cadence.
-func (c *Collector) Interval() sim.Duration {
-	if c == nil {
-		return 0
-	}
-	return c.cfg.Interval
-}
-
 // AddSource registers a scrape callback. Sources run in registration
 // order on every scrape — registration order is part of the
 // deterministic contract, so register sources in a fixed order.
@@ -130,18 +97,6 @@ func (c *Collector) AddSource(fn Source) {
 		return
 	}
 	c.sources = append(c.sources, fn)
-}
-
-// AttachRegistry scrapes an obs metrics registry on every round:
-// counters and gauges become series named after the instrument with a
-// src label; histograms contribute <name>.count and <name>.mean_sec.
-// Snapshot order is name-sorted, so the resulting series set is
-// deterministic.
-func (c *Collector) AttachRegistry(src string, reg *obs.Registry) {
-	if c == nil || reg == nil {
-		return
-	}
-	c.feeds = append(c.feeds, registryFeed{src: src, reg: reg})
 }
 
 // Observe records one unlabeled sample at the current sim time — the
@@ -163,7 +118,7 @@ func (c *Collector) Record(name string, v float64, labels ...Label) {
 }
 
 // Scrape runs one collection round at the current instant: sources in
-// registration order, then attached registries, then rule evaluation.
+// registration order, then rule evaluation.
 // A second Scrape at the same instant is a no-op, so drivers may call
 // it after every operation without stacking duplicate samples.
 func (c *Collector) Scrape() {
@@ -179,20 +134,6 @@ func (c *Collector) Scrape() {
 	r := &Recorder{db: c.db, at: now}
 	for _, src := range c.sources {
 		src(r)
-	}
-	for _, f := range c.feeds {
-		snap := f.reg.Snapshot()
-		lbl := []Label{{Key: "src", Value: f.src}}
-		for _, p := range snap.Counters {
-			c.db.Record(now, p.Name, lbl, p.Value)
-		}
-		for _, p := range snap.Gauges {
-			c.db.Record(now, p.Name, lbl, p.Value)
-		}
-		for _, p := range snap.Histograms {
-			c.db.Record(now, p.Name+".count", lbl, float64(p.Count))
-			c.db.Record(now, p.Name+".mean_sec", lbl, p.MeanSec)
-		}
 	}
 	c.engine.eval(now)
 }
@@ -224,7 +165,7 @@ func (c *Collector) tick() {
 		return
 	}
 	c.Scrape()
-	c.next = c.k.After(c.cfg.Interval, c.tick)
+	c.next = c.k.After(scrapeInterval, c.tick)
 }
 
 // AddRule parses and registers an alert rule (see the package grammar

@@ -85,10 +85,7 @@ func BenchmarkTelemetryObserve(b *testing.B) {
 // per-scrape cost of a telemetry-enabled grid.
 func BenchmarkTelemetryEval(b *testing.B) {
 	k := sim.NewKernel(1)
-	c, err := NewCollector(k, Config{History: 512})
-	if err != nil {
-		b.Fatal(err)
-	}
+	c := NewCollector(k, nil)
 	for _, r := range []struct{ name, expr string }{
 		{"slowdown", "mean(session.slowdown, 30s) > 1.10 for 30s"},
 		{"stale-lease", "last(lease.age) > 4"},

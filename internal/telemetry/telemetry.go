@@ -1,7 +1,7 @@
 // Package telemetry is the grid-wide monitoring pipeline: a bounded
 // in-memory time-series store fed by periodic scrapes of the fabric
-// (obs metrics registries, node and session gauges, supervisor lease
-// ages, rps load predictions), windowed aggregation over the stored
+// (node and session gauges, supervisor lease ages, rps load
+// predictions), windowed aggregation over the stored
 // history, and a declarative threshold/for-duration alert engine whose
 // firings are ordinary simulated-time events.
 //

@@ -122,18 +122,9 @@ func TestLabelOrderInsensitive(t *testing.T) {
 	}
 }
 
-func newTestCollector(t *testing.T, k *sim.Kernel, cfg Config) *Collector {
-	t.Helper()
-	c, err := NewCollector(k, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 func TestCollectorScrapeIdempotentPerInstant(t *testing.T) {
 	k := sim.NewKernel(1)
-	c := newTestCollector(t, k, Config{})
+	c := NewCollector(k, nil)
 	calls := 0
 	c.AddSource(func(r *Recorder) {
 		calls++
@@ -155,7 +146,7 @@ func TestCollectorScrapeIdempotentPerInstant(t *testing.T) {
 
 func TestCollectorSelfTick(t *testing.T) {
 	k := sim.NewKernel(1)
-	c := newTestCollector(t, k, Config{Interval: sim.Second})
+	c := NewCollector(k, nil)
 	v := 0.0
 	c.AddSource(func(r *Recorder) { v++; r.Record("tick", v) })
 	c.Start()
@@ -173,32 +164,6 @@ func TestCollectorSelfTick(t *testing.T) {
 	}
 }
 
-func TestAttachRegistry(t *testing.T) {
-	k := sim.NewKernel(1)
-	tr := obs.New(k)
-	reg := tr.Metrics()
-	reg.Counter("ops").Add(7)
-	reg.Gauge("depth").Set(3)
-	reg.Histogram("lat").Observe(2 * sim.Millisecond)
-
-	c := newTestCollector(t, k, Config{})
-	c.AttachRegistry("grid", reg)
-	c.Scrape()
-
-	if s := c.DB().Lookup("ops{src=grid}"); s == nil || s.Last().V != 7 {
-		t.Fatalf("counter series: %+v", s)
-	}
-	if s := c.DB().Lookup("depth{src=grid}"); s == nil || s.Last().V != 3 {
-		t.Fatalf("gauge series: %+v", s)
-	}
-	if s := c.DB().Lookup("lat.count{src=grid}"); s == nil || s.Last().V != 1 {
-		t.Fatalf("hist count series: %+v", s)
-	}
-	if s := c.DB().Lookup("lat.mean_sec{src=grid}"); s == nil || s.Last().V != 0.002 {
-		t.Fatalf("hist mean series: %+v", s)
-	}
-}
-
 func TestNilCollectorSafe(t *testing.T) {
 	var c *Collector
 	if c.Enabled() {
@@ -210,7 +175,6 @@ func TestNilCollectorSafe(t *testing.T) {
 	c.Start()
 	c.Stop()
 	c.AddSource(func(*Recorder) {})
-	c.AttachRegistry("g", obs.NewRegistry())
 	c.OnFire(func(Firing) {})
 	c.OnResolve(func(Firing) {})
 	if c.DB() != nil || c.Scrapes() != 0 || c.Rules() != nil || c.Firings() != nil || c.Active() != nil {
@@ -233,10 +197,7 @@ func BenchmarkNilObserve(b *testing.B) {
 
 func BenchmarkEnabledObserve(b *testing.B) {
 	k := sim.NewKernel(1)
-	c, err := NewCollector(k, Config{History: 256})
-	if err != nil {
-		b.Fatal(err)
-	}
+	c := NewCollector(k, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -286,7 +247,7 @@ func TestRuleParsing(t *testing.T) {
 func TestRuleFiringLifecycle(t *testing.T) {
 	k := sim.NewKernel(1)
 	tr := obs.New(k)
-	c := newTestCollector(t, k, Config{Trace: tr})
+	c := NewCollector(k, tr)
 	load := 0.0
 	c.AddSource(func(r *Recorder) { r.Record("load", load, L("node", "c1")) })
 	if err := c.AddRule("hot", "last(load) > 0.9 for 2s"); err != nil {
@@ -346,7 +307,7 @@ func TestRuleFiringLifecycle(t *testing.T) {
 
 func TestRulePerSeriesStateMachines(t *testing.T) {
 	k := sim.NewKernel(1)
-	c := newTestCollector(t, k, Config{})
+	c := NewCollector(k, nil)
 	c.AddSource(func(r *Recorder) {
 		r.Record("age", 5, L("sess", "a")) // always over
 		r.Record("age", 1, L("sess", "b")) // always under
@@ -371,7 +332,7 @@ func TestRulePerSeriesStateMachines(t *testing.T) {
 
 func TestRuleRateAndWindowFuncs(t *testing.T) {
 	k := sim.NewKernel(1)
-	c := newTestCollector(t, k, Config{})
+	c := NewCollector(k, nil)
 	n := 0.0
 	c.AddSource(func(r *Recorder) {
 		n += 10 // 10/s counter growth
@@ -392,7 +353,7 @@ func TestRuleRateAndWindowFuncs(t *testing.T) {
 
 func TestDuplicateRuleRejected(t *testing.T) {
 	k := sim.NewKernel(1)
-	c := newTestCollector(t, k, Config{})
+	c := NewCollector(k, nil)
 	if err := c.AddRule("r", "x > 1"); err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +375,7 @@ func TestDuplicateRuleRejected(t *testing.T) {
 func TestSetWriteJSONDeterministic(t *testing.T) {
 	build := func() *Set {
 		k := sim.NewKernel(1)
-		c, _ := NewCollector(k, Config{})
+		c := NewCollector(k, nil)
 		c.AddSource(func(r *Recorder) {
 			r.Record("load", 0.5+r.At().Seconds(), L("node", "c1"))
 			r.Record("load", 0.1, L("node", "c2"))

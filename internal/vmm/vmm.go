@@ -289,7 +289,7 @@ func (vm *VM) recompute() {
 			// The host preempts the monitor roughly once per quantum of
 			// monitor execution; each preemption is a world switch out
 			// and back.
-			wsRate := share / hostos.DefaultQuantum.Seconds()
+			wsRate := share / hostos.Quantum.Seconds()
 			wall += wsRate * vm.cost.WorldSwitch.Seconds()
 			vm.gWS.Set(wsRate)
 		} else {

@@ -27,7 +27,6 @@ import (
 type Server struct {
 	mu       sync.Mutex
 	grid     *core.Grid
-	trace    *obs.Tracer
 	sessions map[string]*core.Session
 
 	listener net.Listener
@@ -44,25 +43,21 @@ type Server struct {
 }
 
 // NewServer creates a server around a fresh grid seeded with seed. The
-// grid is traced and telemetered from birth so the "metrics", "spans",
-// "top", and "alerts" ops always have data to report. The collector is
-// scraped manually after each dispatched operation (never self-ticked:
-// a standing tick would keep the kernel's queue non-empty and break the
-// "simulation idle" detection in pumpUntil).
-func NewServer(seed uint64) *Server {
-	grid := core.NewGrid(seed)
-	tr := obs.New(grid.Kernel())
-	grid.SetTracer(tr)
-	grid.EnableFlightRecorder(obs.FlightConfig{})
-	if _, err := grid.EnableTelemetry(telemetry.Config{}); err != nil {
-		panic(err) // fresh grid: cannot happen
-	}
-	if err := grid.DefaultAlertRules(0); err != nil {
-		panic(err)
+// grid is traced, flight-recorded and telemetered from birth so the
+// "metrics", "spans", "incidents", "top", and "alerts" ops always have
+// data to report; opts add further construction-time planes (e.g.
+// core.WithChunkedStaging). The collector is scraped manually after
+// each dispatched operation (never self-ticked: a standing tick would
+// keep the kernel's queue non-empty and break the "simulation idle"
+// detection in pumpUntil).
+func NewServer(seed uint64, opts ...core.GridOption) *Server {
+	base := []core.GridOption{core.WithTracing(), core.WithFlightRecorder(), core.WithTelemetry()}
+	grid := core.NewGrid(seed, append(base, opts...)...)
+	if err := grid.DefaultAlertRules(); err != nil {
+		panic(err) // telemetry is on: cannot happen
 	}
 	return &Server{
 		grid:     grid,
-		trace:    tr,
 		sessions: make(map[string]*core.Session),
 		closed:   make(chan struct{}),
 		conns:    make(map[net.Conn]struct{}),
@@ -409,6 +404,9 @@ func (s *Server) handle(op string, params json.RawMessage) (json.RawMessage, err
 		if err != nil {
 			return nil, err
 		}
+		if err := p.checkBounds(); err != nil {
+			return nil, err
+		}
 		sess, ok := s.sessions[p.Session]
 		if !ok {
 			return nil, fmt.Errorf("%w %q", ErrUnknownSession, p.Session)
@@ -573,10 +571,10 @@ func (s *Server) handle(op string, params json.RawMessage) (json.RawMessage, err
 		return marshal(info)
 
 	case "metrics":
-		return marshal(s.trace.Metrics().Snapshot())
+		return marshal(s.grid.Tracer().Metrics().Snapshot())
 
 	case "spans":
-		spans := s.trace.Spans()
+		spans := s.grid.Tracer().Spans()
 		if spans == nil {
 			spans = []obs.SpanRecord{}
 		}
@@ -594,7 +592,7 @@ func (s *Server) handle(op string, params json.RawMessage) (json.RawMessage, err
 		ctx := sess.TraceContext()
 		info := TraceInfo{Session: sess.Name(), Trace: ctx.Trace.String(), Spans: []obs.SpanRecord{}}
 		if ctx.Valid() {
-			for _, sp := range s.trace.Spans() {
+			for _, sp := range s.grid.Tracer().Spans() {
 				if sp.Trace == ctx.Trace {
 					info.Spans = append(info.Spans, sp)
 				}

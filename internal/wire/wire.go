@@ -115,6 +115,42 @@ type RunParams struct {
 	RootBytes     int64   `json:"rootBytes,omitempty"`
 }
 
+// Upper bounds on a run request's workload size. The server rejects a
+// request above any of them before scheduling it, so one request cannot
+// make the daemon walk billions of cache pages. They sit far above the
+// largest paper workload (SPECseis96: 16395 CPU s, 62000 reads of
+// 480 MB, 3000 root ops of 96 MB).
+const (
+	// MaxRunCPUSeconds is the run op's 100-hour simulation horizon.
+	MaxRunCPUSeconds = 100 * 3600
+	MaxRunReads      = 1 << 20
+	MaxRunReadBytes  = 4 << 30
+	MaxRunRootOps    = 1 << 20
+	MaxRunRootBytes  = 4 << 30
+)
+
+// checkBounds rejects a workload above the Max* limits.
+func (p RunParams) checkBounds() error {
+	// Written as !(v <= max) so a NaN CPU time is rejected too.
+	if !(p.CPUSeconds <= MaxRunCPUSeconds) {
+		return fmt.Errorf("wire: run cpuSeconds %g exceeds %d", p.CPUSeconds, MaxRunCPUSeconds)
+	}
+	for _, f := range []struct {
+		name     string
+		v, limit int64
+	}{
+		{"reads", int64(p.Reads), MaxRunReads},
+		{"readBytes", p.ReadBytes, MaxRunReadBytes},
+		{"rootOps", int64(p.RootOps), MaxRunRootOps},
+		{"rootBytes", p.RootBytes, MaxRunRootBytes},
+	} {
+		if f.v > f.limit {
+			return fmt.Errorf("wire: run %s %d exceeds %d", f.name, f.v, f.limit)
+		}
+	}
+	return nil
+}
+
 // RunResult summarizes a finished workload.
 type RunResult struct {
 	Name       string  `json:"name"`

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // startServer spins a server on a free port and returns a connected
@@ -125,6 +126,54 @@ func TestEndToEndSessionOverTCP(t *testing.T) {
 	}
 	if _, err := c.Run(RunParams{Session: info.Name, Name: "x", CPUSeconds: 1}); err == nil {
 		t.Error("run on dead session accepted")
+	}
+}
+
+// TestRunRejectsOversizedWorkload: a run request above any Max* bound
+// fails fast with a plain error, before the daemon schedules any work,
+// and the session stays usable.
+func TestRunRejectsOversizedWorkload(t *testing.T) {
+	c := startServer(t)
+	buildFabric(t, c)
+	info, err := c.NewSession(SessionParams{
+		User: "alice", FrontEnd: "front", Image: "rh72",
+		Mode: "restore", Disk: "non-persistent", Access: "local",
+		DataNode: "data", DataFile: "dataset",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := RunParams{Session: info.Name, Name: "huge", CPUSeconds: 1, Mount: "data"}
+	for _, tc := range []struct {
+		field string
+		edit  func(*RunParams)
+	}{
+		{"reads", func(p *RunParams) { p.Reads, p.ReadBytes = 1<<40, 1<<40 }},
+		{"readBytes", func(p *RunParams) { p.Reads, p.ReadBytes = 1, MaxRunReadBytes+1 }},
+		{"rootOps", func(p *RunParams) { p.RootOps = MaxRunRootOps + 1 }},
+		{"rootBytes", func(p *RunParams) { p.RootOps, p.RootBytes = 1, MaxRunRootBytes+1 }},
+		{"cpuSeconds", func(p *RunParams) { p.CPUSeconds = MaxRunCPUSeconds + 1 }},
+	} {
+		p := base
+		tc.edit(&p)
+		start := time.Now()
+		_, err := c.Run(p)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: err = %v, want a bound error naming the field", tc.field, err)
+		}
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Errorf("%s: rejection took %v", tc.field, elapsed)
+		}
+	}
+	res, err := c.Run(RunParams{
+		Session: info.Name, Name: "job", CPUSeconds: 30,
+		Reads: 50, ReadBytes: 10 << 20, Mount: "data",
+	})
+	if err != nil {
+		t.Fatalf("normal job after rejections: %v", err)
+	}
+	if res.UserSec != 30 || res.Reads != 50 {
+		t.Errorf("run result %+v", res)
 	}
 }
 
