@@ -244,13 +244,34 @@ func (s *Session) ImageServer() string { return s.imageServer }
 // State returns the session's life-cycle state.
 func (s *Session) State() State { return s.state }
 
-// DataClient returns the session's user-data VFS client (nil before the
-// data session is attached) — a read-only telemetry source.
-func (s *Session) DataClient() *vfs.Client { return s.dataClient }
+// VFSTotals sums a session's vfs client counters over its user-data
+// client and (for on-demand images) its image client.
+type VFSTotals struct {
+	Hits, Misses, Retries, TransportErrors uint64
+}
 
-// ImageClient returns the session's on-demand image VFS client (nil for
-// staged or locally installed images).
-func (s *Session) ImageClient() *vfs.Client { return s.imageClient }
+// HitRate returns the cache hit fraction, and false before any lookup.
+func (v VFSTotals) HitRate() (float64, bool) {
+	if v.Hits+v.Misses == 0 {
+		return 0, false
+	}
+	return float64(v.Hits) / float64(v.Hits+v.Misses), true
+}
+
+// VFSTotals returns the session's summed vfs client counters.
+func (s *Session) VFSTotals() VFSTotals {
+	var v VFSTotals
+	for _, c := range []*vfs.Client{s.dataClient, s.imageClient} {
+		if c == nil {
+			continue
+		}
+		v.Hits += c.Hits()
+		v.Misses += c.Misses()
+		v.Retries += c.Retries()
+		v.TransportErrors += c.TransportErrors()
+	}
+	return v
+}
 
 // Events returns the life-cycle timeline.
 func (s *Session) Events() []Event {

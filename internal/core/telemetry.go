@@ -6,7 +6,6 @@ import (
 
 	"vmgrid/internal/gis"
 	"vmgrid/internal/telemetry"
-	"vmgrid/internal/vfs"
 )
 
 // attachTelemetry builds the grid's collector (WithTelemetry): every
@@ -94,6 +93,10 @@ func (g *Grid) NodeNames() []string {
 	return names
 }
 
+// Session returns the live session named name, or nil when no live
+// session has that name (never created, still starting, or shut down).
+func (g *Grid) Session(name string) *Session { return g.live[name] }
+
 // LiveSessions returns the live sessions in name order.
 func (g *Grid) LiveSessions() []*Session {
 	out := make([]*Session, 0, len(g.live))
@@ -134,21 +137,12 @@ func (g *Grid) scrapeSessions(r *telemetry.Recorder) {
 		if u.GuestUserSeconds > 0 {
 			r.Record("session.slowdown", u.CPUSeconds/u.GuestUserSeconds, lbl)
 		}
-		var hits, misses, retries, terrs uint64
-		for _, c := range []*vfs.Client{s.dataClient, s.imageClient} {
-			if c == nil {
-				continue
-			}
-			hits += c.Hits()
-			misses += c.Misses()
-			retries += c.Retries()
-			terrs += c.TransportErrors()
+		v := s.VFSTotals()
+		if rate, ok := v.HitRate(); ok {
+			r.Record("vfs.hit_rate", rate, lbl)
 		}
-		if hits+misses > 0 {
-			r.Record("vfs.hit_rate", float64(hits)/float64(hits+misses), lbl)
-		}
-		r.Record("vfs.retries", float64(retries), lbl)
-		r.Record("vfs.transport_errors", float64(terrs), lbl)
+		r.Record("vfs.retries", float64(v.Retries), lbl)
+		r.Record("vfs.transport_errors", float64(v.TransportErrors), lbl)
 	}
 }
 

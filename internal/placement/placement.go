@@ -13,10 +13,7 @@
 // supervisor's failover, and the balancer.
 package placement
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Candidate is one compute node a session could run on, as seen at
 // decision time.
@@ -150,31 +147,6 @@ func pickBy(cands []Candidate, less func(a, b Candidate) bool) (string, bool) {
 		}
 	}
 	return best.Node, true
-}
-
-// lessFor exposes the comparator behind each built-in policy (nil for
-// foreign placers).
-func lessFor(p Placer) func(a, b Candidate) bool {
-	switch p.(type) {
-	case LeastLoaded:
-		return lessLeastLoaded
-	case PredictedLoad:
-		return lessPredicted
-	case Pack:
-		return lessPack
-	}
-	return nil
-}
-
-// Rank returns the candidates sorted by the placer's preference — the
-// order Pick would drain them in. Foreign placers (no known
-// comparator) keep the input order.
-func Rank(p Placer, cands []Candidate) []Candidate {
-	out := append([]Candidate(nil), cands...)
-	if less := lessFor(p); less != nil {
-		sort.SliceStable(out, func(i, j int) bool { return less(out[i], out[j]) })
-	}
-	return out
 }
 
 // Names lists the built-in policy names in ByName's vocabulary.

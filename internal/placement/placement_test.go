@@ -59,19 +59,6 @@ func TestTiesBreakByName(t *testing.T) {
 	}
 }
 
-func TestRankOrdersLikePick(t *testing.T) {
-	for _, p := range []Placer{LeastLoaded{}, PredictedLoad{}, Pack{}} {
-		ranked := Rank(p, cands())
-		if len(ranked) != 3 {
-			t.Fatalf("%s Rank dropped candidates: %d", p.Name(), len(ranked))
-		}
-		want, _ := p.Pick(Request{}, cands())
-		if ranked[0].Node != want {
-			t.Errorf("%s Rank head %q != Pick %q", p.Name(), ranked[0].Node, want)
-		}
-	}
-}
-
 func TestByName(t *testing.T) {
 	for _, name := range Names() {
 		p, err := ByName(name)

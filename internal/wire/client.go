@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"vmgrid/internal/obs"
 	"vmgrid/internal/retry"
 	"vmgrid/internal/sim"
 )
@@ -50,32 +49,11 @@ func (c *Config) fill() {
 	}
 }
 
-// CallOption tunes one Call (and every convenience wrapper built on
-// it) without touching the client's Config.
-type CallOption func(*callOpts)
-
-type callOpts struct {
-	deadline time.Duration
-	policy   retry.Policy
-	hasRetry bool
-}
-
-// WithDeadline overrides the per-attempt CallTimeout for this call.
-func WithDeadline(d time.Duration) CallOption {
-	return func(o *callOpts) { o.deadline = d }
-}
-
-// WithRetry overrides the retry policy for this call (e.g. a single
-// attempt for a probe, or a patient schedule for a just-restarted
-// server).
-func WithRetry(p retry.Policy) CallOption {
-	return func(o *callOpts) { o.policy, o.hasRetry = p, true }
-}
-
 // Client talks to a vmgridd server over TCP. A broken connection is
 // re-dialed (with capped exponential backoff) on the next Call, so a
 // client handle survives server restarts.
 type Client struct {
+	api
 	addr string
 	cfg  Config
 
@@ -97,6 +75,7 @@ func Dial(addr string) (*Client, error) {
 func DialConfig(addr string, cfg Config) (*Client, error) {
 	cfg.fill()
 	c := &Client{addr: addr, cfg: cfg}
+	c.api = api{c.Call}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.ensureConn(); err != nil {
@@ -145,264 +124,96 @@ func (c *Client) dropConn() {
 // unmarshaled into out when out is non-nil. Attempts that fail before
 // the request is sent (dial errors, send errors) are retried per the
 // configured retry.Policy; failures after the send are returned as-is.
-// Options adjust the deadline or policy for this call only.
-func (c *Client) Call(op string, params any, out any, opts ...CallOption) error {
-	var o callOpts
-	for _, opt := range opts {
-		opt(&o)
+func (c *Client) Call(op string, params any, out any) error {
+	raw, err := encodeParams(params)
+	if err != nil {
+		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var raw json.RawMessage
-	if params != nil {
-		b, err := json.Marshal(params)
-		if err != nil {
-			return fmt.Errorf("wire: params: %w", err)
-		}
-		raw = b
-	}
 	policy := c.cfg.Retry
-	if o.hasRetry {
-		policy = o.policy
-	}
-	callTimeout := c.cfg.CallTimeout
-	if o.deadline > 0 {
-		callTimeout = o.deadline
-	}
 	var lastErr error
 	for attempt := 1; attempt <= policy.Attempts(); attempt++ {
 		if attempt > 1 {
 			time.Sleep(policy.Delay(attempt-1, wireBaseBackoff).Std())
 		}
-		if err := c.ensureConn(); err != nil {
+		id, err := c.send(op, raw)
+		if err != nil {
 			lastErr = err
 			continue
 		}
-		c.nextID++
-		req := Request{ID: c.nextID, Op: op, Params: raw}
-		deadline := time.Now().Add(callTimeout)
-		_ = c.conn.SetWriteDeadline(deadline)
-		if err := c.enc.Encode(req); err != nil {
-			// The request never made it out whole; safe to resend on a
-			// fresh connection.
-			c.dropConn()
-			lastErr = fmt.Errorf("wire: send: %w", err)
-			continue
+		resp, err := c.recv(id)
+		if err != nil {
+			return err
 		}
-		_ = c.conn.SetReadDeadline(deadline)
-		return c.recv(req, out)
+		return decodeResponse(resp, out)
 	}
 	return lastErr
 }
 
-// recv reads and decodes the response to req. Callers hold mu.
-func (c *Client) recv(req Request, out any) error {
+// send writes one request, dialing first if needed, and returns its id.
+// A failed send leaves no request on the wire, so it is safe to resend
+// on a fresh connection. Callers hold mu.
+func (c *Client) send(op string, raw json.RawMessage) (int64, error) {
+	if err := c.ensureConn(); err != nil {
+		return 0, err
+	}
+	c.nextID++
+	_ = c.conn.SetWriteDeadline(time.Now().Add(c.cfg.CallTimeout))
+	if err := c.enc.Encode(Request{ID: c.nextID, Op: op, Params: raw}); err != nil {
+		c.dropConn()
+		return 0, fmt.Errorf("wire: send: %w", err)
+	}
+	return c.nextID, nil
+}
+
+// recv reads the next response line, which must answer request id,
+// within CallTimeout. Callers hold mu.
+func (c *Client) recv(id int64) (Response, error) {
+	var resp Response
+	_ = c.conn.SetReadDeadline(time.Now().Add(c.cfg.CallTimeout))
 	if !c.reader.Scan() {
 		err := c.reader.Err()
 		c.dropConn()
 		if err != nil {
-			return fmt.Errorf("wire: recv: %w", err)
+			return resp, fmt.Errorf("wire: recv: %w", err)
 		}
-		return errors.New("wire: connection closed")
+		return resp, errors.New("wire: connection closed")
 	}
-	var resp Response
 	if err := json.Unmarshal(c.reader.Bytes(), &resp); err != nil {
-		return fmt.Errorf("wire: bad response: %w", err)
+		return resp, fmt.Errorf("wire: bad response: %w", err)
 	}
-	if resp.ID != req.ID {
-		return fmt.Errorf("wire: response id %d for request %d", resp.ID, req.ID)
+	if resp.ID != id {
+		return resp, fmt.Errorf("wire: response id %d for request %d", resp.ID, id)
 	}
-	if resp.Error != "" {
-		return decodeError(resp)
-	}
-	if out != nil {
-		if err := json.Unmarshal(resp.Data, out); err != nil {
-			return fmt.Errorf("wire: response data: %w", err)
-		}
-	}
-	return nil
-}
-
-// Convenience wrappers for the common operations. Each forwards its
-// CallOptions to Call.
-
-// AddNode attaches a node to the served grid.
-func (c *Client) AddNode(p AddNodeParams, opts ...CallOption) error {
-	return c.Call("add-node", p, nil, opts...)
-}
-
-// Connect links two nodes.
-func (c *Client) Connect(a, b, kind string, opts ...CallOption) error {
-	return c.Call("connect", ConnectParams{A: a, B: b, Kind: kind}, nil, opts...)
-}
-
-// InstallImage installs an image on a node.
-func (c *Client) InstallImage(p InstallImageParams, opts ...CallOption) error {
-	return c.Call("install-image", p, nil, opts...)
-}
-
-// CreateData provisions user data on a node.
-func (c *Client) CreateData(p CreateDataParams, opts ...CallOption) error {
-	return c.Call("create-data", p, nil, opts...)
-}
-
-// NewSession starts a VM session and waits for it to be ready.
-func (c *Client) NewSession(p SessionParams, opts ...CallOption) (SessionInfo, error) {
-	var info SessionInfo
-	err := c.Call("new-session", p, &info, opts...)
-	return info, err
-}
-
-// Run executes a workload in a session and waits for completion.
-func (c *Client) Run(p RunParams, opts ...CallOption) (RunResult, error) {
-	var res RunResult
-	err := c.Call("run", p, &res, opts...)
-	return res, err
-}
-
-// Migrate moves a session to another node.
-func (c *Client) Migrate(session, target string, opts ...CallOption) (SessionInfo, error) {
-	var info SessionInfo
-	err := c.Call("migrate", MigrateParams{Session: session, Target: target}, &info, opts...)
-	return info, err
-}
-
-// Hibernate checkpoints a session.
-func (c *Client) Hibernate(session string, opts ...CallOption) (SessionInfo, error) {
-	var info SessionInfo
-	err := c.Call("hibernate", SessionRef{Session: session}, &info, opts...)
-	return info, err
-}
-
-// Wake resumes a hibernated session.
-func (c *Client) Wake(session string, opts ...CallOption) (SessionInfo, error) {
-	var info SessionInfo
-	err := c.Call("wake", SessionRef{Session: session}, &info, opts...)
-	return info, err
-}
-
-// Shutdown ends a session.
-func (c *Client) Shutdown(session string, opts ...CallOption) error {
-	return c.Call("shutdown", SessionRef{Session: session}, nil, opts...)
-}
-
-// Usage fetches a session's metered consumption.
-func (c *Client) Usage(session string, opts ...CallOption) (UsageInfo, error) {
-	var u UsageInfo
-	err := c.Call("usage", SessionRef{Session: session}, &u, opts...)
-	return u, err
-}
-
-// Query lists information-service records of a kind.
-func (c *Client) Query(kind string, opts ...CallOption) ([]QueryEntry, error) {
-	var entries []QueryEntry
-	err := c.Call("query", QueryParams{Kind: kind}, &entries, opts...)
-	return entries, err
-}
-
-// Status fetches the fabric summary.
-func (c *Client) Status(opts ...CallOption) (StatusInfo, error) {
-	var st StatusInfo
-	err := c.Call("status", nil, &st, opts...)
-	return st, err
-}
-
-// Metrics fetches the served grid's metrics snapshot.
-func (c *Client) Metrics(opts ...CallOption) (obs.Snapshot, error) {
-	var snap obs.Snapshot
-	err := c.Call("metrics", nil, &snap, opts...)
-	return snap, err
-}
-
-// Spans fetches the served grid's recorded spans.
-func (c *Client) Spans(opts ...CallOption) ([]obs.SpanRecord, error) {
-	var spans []obs.SpanRecord
-	err := c.Call("spans", nil, &spans, opts...)
-	return spans, err
-}
-
-// Trace fetches one session's causal tree and postmortem report.
-func (c *Client) Trace(session string, opts ...CallOption) (TraceInfo, error) {
-	var info TraceInfo
-	err := c.Call("trace", SessionRef{Session: session}, &info, opts...)
-	return info, err
-}
-
-// Incidents lists the flight recorder's incident bundles.
-func (c *Client) Incidents(opts ...CallOption) ([]IncidentInfo, error) {
-	var rows []IncidentInfo
-	err := c.Call("incidents", nil, &rows, opts...)
-	return rows, err
-}
-
-// Incident fetches one full incident bundle by id.
-func (c *Client) Incident(id string, opts ...CallOption) (obs.Incident, error) {
-	var inc obs.Incident
-	err := c.Call("incident", IncidentRef{ID: id}, &inc, opts...)
-	return inc, err
-}
-
-// Top fetches one scrape-fresh grid snapshot.
-func (c *Client) Top(opts ...CallOption) (TopInfo, error) {
-	var info TopInfo
-	err := c.Call("top", nil, &info, opts...)
-	return info, err
-}
-
-// Alerts fetches the rule set and full alert firing log.
-func (c *Client) Alerts(opts ...CallOption) (AlertsInfo, error) {
-	var info AlertsInfo
-	err := c.Call("alerts", nil, &info, opts...)
-	return info, err
+	return resp, nil
 }
 
 // Watch streams count top frames everySec virtual seconds apart,
 // invoking fn for each as it arrives. fn returning an error stops the
 // watch early (the connection is dropped to discard the remaining
 // frames). Watch holds the client for the whole stream — other calls on
-// this client block until it finishes.
+// this client block until it finishes. Watch needs the TCP client: the
+// in-process Local has no stream to carry the frames.
 func (c *Client) Watch(count int, everySec float64, fn func(TopInfo) error) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.ensureConn(); err != nil {
+	raw, err := encodeParams(WatchParams{Count: count, EverySec: everySec})
+	if err != nil {
 		return err
 	}
-	c.nextID++
-	req := Request{ID: c.nextID, Op: "watch"}
-	b, err := json.Marshal(WatchParams{Count: count, EverySec: everySec})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	id, err := c.send("watch", raw)
 	if err != nil {
-		return fmt.Errorf("wire: params: %w", err)
-	}
-	req.Params = b
-	deadline := time.Now().Add(c.cfg.CallTimeout)
-	_ = c.conn.SetWriteDeadline(deadline)
-	if err := c.enc.Encode(req); err != nil {
-		c.dropConn()
-		return fmt.Errorf("wire: send: %w", err)
+		return err
 	}
 	for {
-		_ = c.conn.SetReadDeadline(time.Now().Add(c.cfg.CallTimeout))
-		if !c.reader.Scan() {
-			err := c.reader.Err()
-			c.dropConn()
-			if err != nil {
-				return fmt.Errorf("wire: recv: %w", err)
-			}
-			return errors.New("wire: connection closed")
-		}
-		var resp Response
-		if err := json.Unmarshal(c.reader.Bytes(), &resp); err != nil {
-			return fmt.Errorf("wire: bad response: %w", err)
-		}
-		if resp.ID != req.ID {
-			return fmt.Errorf("wire: response id %d for request %d", resp.ID, req.ID)
-		}
-		if resp.Error != "" {
-			return decodeError(resp)
+		resp, err := c.recv(id)
+		if err != nil {
+			return err
 		}
 		var frame TopInfo
-		if err := json.Unmarshal(resp.Data, &frame); err != nil {
-			return fmt.Errorf("wire: response data: %w", err)
+		if err := decodeResponse(resp, &frame); err != nil {
+			return err
 		}
 		if err := fn(frame); err != nil {
 			// Abandon the stream: the connection carries frames we will
@@ -414,16 +225,4 @@ func (c *Client) Watch(count int, everySec float64, fn func(TopInfo) error) erro
 			return nil
 		}
 	}
-}
-
-// Ping checks liveness.
-func (c *Client) Ping(opts ...CallOption) error {
-	var pong string
-	if err := c.Call("ping", nil, &pong, opts...); err != nil {
-		return err
-	}
-	if pong != "pong" {
-		return fmt.Errorf("wire: unexpected ping reply %q", pong)
-	}
-	return nil
 }

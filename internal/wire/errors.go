@@ -7,8 +7,8 @@ import (
 	"vmgrid/internal/core"
 )
 
-// ErrUnknownSession is returned when an op names a session the server
-// does not hold.
+// ErrUnknownSession is returned when an op names no live session of the
+// served grid.
 var ErrUnknownSession = errors.New("wire: unknown session")
 
 // Stable wire codes for sentinel errors. The server stamps the matching

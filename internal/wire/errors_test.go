@@ -4,10 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"vmgrid/internal/core"
-	"vmgrid/internal/retry"
 )
 
 func TestErrorCodeTable(t *testing.T) {
@@ -190,29 +188,5 @@ func TestTraceAndIncidentOps(t *testing.T) {
 	}
 	if _, err := c.Trace("ghost"); !errors.Is(err, ErrUnknownSession) {
 		t.Errorf("trace of unknown session = %v, want ErrUnknownSession", err)
-	}
-}
-
-// TestCallOptions exercises WithDeadline and WithRetry pass-through on
-// both the success path and a fast-fail probe against a dead server.
-func TestCallOptions(t *testing.T) {
-	c := startServer(t)
-	if err := c.Ping(WithDeadline(10*time.Second), WithRetry(retry.Policy{MaxAttempts: 2})); err != nil {
-		t.Fatal(err)
-	}
-
-	dead, err := Dial(c.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = dead.Close()
-	// Simulate a vanished server: point at a port nothing listens on.
-	dead.addr = "127.0.0.1:1"
-	start := time.Now()
-	if err := dead.Ping(WithRetry(retry.Policy{MaxAttempts: 1})); err == nil {
-		t.Error("ping of dead server succeeded")
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("single-attempt probe took %v, backoff not bypassed", elapsed)
 	}
 }

@@ -1,91 +1,25 @@
 package wire
 
-import (
-	"encoding/json"
-	"fmt"
-)
-
-// Local is an in-process client for a Server: the same operations as the
-// TCP client, dispatched directly. It lets a daemon (or test) compose a
-// fabric without round-tripping through its own socket.
+// Local is an in-process client for a Server: the same Call and
+// wrappers as the TCP Client, dispatched directly. It lets a daemon (or
+// test) compose a fabric without round-tripping through its own socket.
 type Local struct {
-	srv    *Server
-	nextID int64
+	api
+	srv *Server
 }
 
 // NewLocal wraps a server for in-process use.
-func NewLocal(srv *Server) *Local { return &Local{srv: srv} }
+func NewLocal(srv *Server) *Local {
+	l := &Local{srv: srv}
+	l.api = api{l.Call}
+	return l
+}
 
 // Call performs one operation, mirroring Client.Call.
 func (l *Local) Call(op string, params any, out any) error {
-	l.nextID++
-	req := Request{ID: l.nextID, Op: op}
-	if params != nil {
-		raw, err := json.Marshal(params)
-		if err != nil {
-			return fmt.Errorf("wire: params: %w", err)
-		}
-		req.Params = raw
+	raw, err := encodeParams(params)
+	if err != nil {
+		return err
 	}
-	resp := l.srv.dispatch(req)
-	if resp.Error != "" {
-		// Decode through the same code table as the TCP client, so
-		// errors.Is matching behaves identically in-process.
-		return decodeError(resp)
-	}
-	if out != nil {
-		if err := json.Unmarshal(resp.Data, out); err != nil {
-			return fmt.Errorf("wire: response data: %w", err)
-		}
-	}
-	return nil
-}
-
-// AddNode attaches a node.
-func (l *Local) AddNode(p AddNodeParams) error { return l.Call("add-node", p, nil) }
-
-// Connect links two nodes.
-func (l *Local) Connect(a, b, kind string) error {
-	return l.Call("connect", ConnectParams{A: a, B: b, Kind: kind}, nil)
-}
-
-// InstallImage installs an image.
-func (l *Local) InstallImage(p InstallImageParams) error { return l.Call("install-image", p, nil) }
-
-// CreateData provisions user data.
-func (l *Local) CreateData(p CreateDataParams) error { return l.Call("create-data", p, nil) }
-
-// NewSession starts a session and waits for readiness.
-func (l *Local) NewSession(p SessionParams) (SessionInfo, error) {
-	var info SessionInfo
-	err := l.Call("new-session", p, &info)
-	return info, err
-}
-
-// Run executes a workload.
-func (l *Local) Run(p RunParams) (RunResult, error) {
-	var res RunResult
-	err := l.Call("run", p, &res)
-	return res, err
-}
-
-// Status fetches the fabric summary.
-func (l *Local) Status() (StatusInfo, error) {
-	var st StatusInfo
-	err := l.Call("status", nil, &st)
-	return st, err
-}
-
-// Top fetches one scrape-fresh grid snapshot.
-func (l *Local) Top() (TopInfo, error) {
-	var info TopInfo
-	err := l.Call("top", nil, &info)
-	return info, err
-}
-
-// Alerts fetches the rule set and alert firing log.
-func (l *Local) Alerts() (AlertsInfo, error) {
-	var info AlertsInfo
-	err := l.Call("alerts", nil, &info)
-	return info, err
+	return decodeResponse(l.srv.dispatch(Request{Op: op, Params: raw}), out)
 }

@@ -19,15 +19,13 @@ import (
 	"vmgrid/internal/sim"
 	"vmgrid/internal/storage"
 	"vmgrid/internal/telemetry"
-	"vmgrid/internal/vfs"
 	"vmgrid/internal/vmm"
 )
 
 // Server wraps a grid behind a TCP line protocol.
 type Server struct {
-	mu       sync.Mutex
-	grid     *core.Grid
-	sessions map[string]*core.Session
+	mu   sync.Mutex
+	grid *core.Grid
 
 	listener net.Listener
 	wg       sync.WaitGroup
@@ -57,10 +55,9 @@ func NewServer(seed uint64, opts ...core.GridOption) *Server {
 		panic(err) // telemetry is on: cannot happen
 	}
 	return &Server{
-		grid:     grid,
-		sessions: make(map[string]*core.Session),
-		closed:   make(chan struct{}),
-		conns:    make(map[net.Conn]struct{}),
+		grid:   grid,
+		closed: make(chan struct{}),
+		conns:  make(map[net.Conn]struct{}),
 	}
 }
 
@@ -190,11 +187,14 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-// watch streams Count top frames EverySec virtual seconds apart.
-// Returns false when the connection should close (encode failure or
-// server drain).
+// watch streams Count top frames EverySec virtual seconds apart. An
+// error frame ends the stream. Returns false when the connection should
+// close (encode failure or server drain).
 func (s *Server) watch(req Request, enc *json.Encoder) bool {
 	p, err := unmarshal[WatchParams](req.Params)
+	if err == nil {
+		err = p.checkBounds()
+	}
 	if err != nil {
 		_ = enc.Encode(Response{ID: req.ID, Error: err.Error()})
 		return true
@@ -216,9 +216,12 @@ func (s *Server) watch(req Request, enc *json.Encoder) bool {
 		default:
 		}
 		resp := s.watchFrame(req.ID, i > 0, every)
-		resp.More = i < p.Count-1
+		resp.More = i < p.Count-1 && resp.Error == ""
 		if err := enc.Encode(resp); err != nil {
 			return false
+		}
+		if resp.Error != "" {
+			return true
 		}
 	}
 	return true
@@ -232,9 +235,13 @@ func (s *Server) watchFrame(id int64, advance bool, every sim.Duration) Response
 	defer s.mu.Unlock()
 	if advance {
 		k := s.grid.Kernel()
+		to := k.Now().Add(every)
+		if to > horizon {
+			return Response{ID: id, Error: errHorizon.Error()}
+		}
 		// ErrStalled just means the fabric is idle — the frame still
 		// renders current state.
-		if err := k.RunUntil(k.Now().Add(every)); err != nil && !errors.Is(err, sim.ErrStalled) {
+		if err := k.RunUntil(to); err != nil && !errors.Is(err, sim.ErrStalled) {
 			return Response{ID: id, Error: err.Error()}
 		}
 	}
@@ -263,8 +270,27 @@ func (s *Server) dispatch(req Request) Response {
 	return resp
 }
 
-// pumpUntil drives the simulation until stop() reports true or the
-// virtual budget is exhausted.
+// handle looks op up in the op table and runs it.
+func (s *Server) handle(op string, params json.RawMessage) (json.RawMessage, error) {
+	h, ok := handlers[op]
+	if !ok {
+		return nil, fmt.Errorf("wire: unknown op %q", op)
+	}
+	v, err := h(s, params)
+	if err != nil {
+		return nil, err
+	}
+	return marshal(v)
+}
+
+// horizon is MaxVirtualSec as a kernel time. No op and no watch frame
+// moves the clock past it.
+const horizon = sim.Time(MaxVirtualSec * sim.Second)
+
+var errHorizon = fmt.Errorf("wire: virtual time would pass the %d s horizon", MaxVirtualSec)
+
+// pumpUntil drives the simulation until stop() reports true, the
+// virtual budget is exhausted or the clock reaches the horizon.
 func (s *Server) pumpUntil(budget sim.Duration, stop func() bool) error {
 	k := s.grid.Kernel()
 	deadline := k.Now().Add(budget)
@@ -272,7 +298,10 @@ func (s *Server) pumpUntil(budget sim.Duration, stop func() bool) error {
 		if k.Now() >= deadline {
 			return fmt.Errorf("wire: operation exceeded %v of virtual time", budget)
 		}
-		if err := k.RunUntil(k.Now().Add(sim.Second)); err != nil && !stop() {
+		if k.Now() >= horizon {
+			return errHorizon
+		}
+		if err := k.RunUntil(min(k.Now().Add(sim.Second), horizon)); err != nil && !stop() {
 			// Queue drained with the condition unmet: nothing further
 			// can change.
 			if errors.Is(err, sim.ErrStalled) {
@@ -284,344 +313,316 @@ func (s *Server) pumpUntil(budget sim.Duration, stop func() bool) error {
 	return nil
 }
 
-func (s *Server) handle(op string, params json.RawMessage) (json.RawMessage, error) {
-	switch op {
-	case "ping":
-		return marshal("pong")
-
-	case "add-node":
-		p, err := unmarshal[AddNodeParams](params)
-		if err != nil {
-			return nil, err
-		}
-		var role core.Role
-		for _, r := range p.Roles {
-			switch r {
-			case "compute":
-				role |= core.RoleCompute
-			case "image-server":
-				role |= core.RoleImageServer
-			case "data-server":
-				role |= core.RoleDataServer
-			case "front-end":
-				role |= core.RoleFrontEnd
-			default:
-				return nil, fmt.Errorf("wire: unknown role %q", r)
-			}
-		}
-		_, err = s.grid.AddNode(core.NodeConfig{
-			Name: p.Name, Site: p.Site, Role: role,
-			Slots: p.Slots, DHCPPrefix: p.DHCPPrefix,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return marshal("ok")
-
-	case "connect":
-		p, err := unmarshal[ConnectParams](params)
-		if err != nil {
-			return nil, err
-		}
-		switch p.Kind {
-		case "lan", "":
-			err = s.grid.Net().ConnectLAN(p.A, p.B)
-		case "wan":
-			err = s.grid.Net().ConnectWAN(p.A, p.B)
-		default:
-			return nil, fmt.Errorf("wire: unknown link kind %q", p.Kind)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return marshal("ok")
-
-	case "install-image":
-		p, err := unmarshal[InstallImageParams](params)
-		if err != nil {
-			return nil, err
-		}
-		node := s.grid.Node(p.Node)
-		if node == nil {
-			return nil, fmt.Errorf("wire: unknown node %q", p.Node)
-		}
-		if p.DiskBytes == 0 {
-			p.DiskBytes = 2 * hw.GB
-		}
-		if err := node.InstallImage(storage.ImageInfo{
-			Name: p.Name, OS: p.OS, DiskBytes: p.DiskBytes, MemBytes: p.MemBytes,
-		}); err != nil {
-			return nil, err
-		}
-		return marshal("ok")
-
-	case "create-data":
-		p, err := unmarshal[CreateDataParams](params)
-		if err != nil {
-			return nil, err
-		}
-		node := s.grid.Node(p.Node)
-		if node == nil {
-			return nil, fmt.Errorf("wire: unknown node %q", p.Node)
-		}
-		if err := node.CreateUserData(p.File, p.Bytes); err != nil {
-			return nil, err
-		}
-		return marshal("ok")
-
-	case "new-session":
-		p, err := unmarshal[SessionParams](params)
-		if err != nil {
-			return nil, err
-		}
-		cfg, err := sessionConfig(p)
-		if err != nil {
-			return nil, err
-		}
-		opts, err := sessionOptions(p)
-		if err != nil {
-			return nil, err
-		}
-		var sess *core.Session
-		var sessErr error
-		done := false
-		if _, err := s.grid.CreateSession(cfg, func(ss *core.Session, err error) {
-			sess, sessErr, done = ss, err, true
-		}, opts...); err != nil {
-			return nil, err
-		}
-		if err := s.pumpUntil(4*sim.Hour, func() bool { return done }); err != nil {
-			return nil, err
-		}
-		if sessErr != nil {
-			return nil, sessErr
-		}
-		s.sessions[sess.Name()] = sess
-		return marshal(sessionInfo(sess))
-
-	case "run":
-		p, err := unmarshal[RunParams](params)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.checkBounds(); err != nil {
-			return nil, err
-		}
-		sess, ok := s.sessions[p.Session]
-		if !ok {
-			return nil, fmt.Errorf("%w %q", ErrUnknownSession, p.Session)
-		}
-		w := guest.Workload{
-			Name: p.Name, CPUSeconds: p.CPUSeconds,
-			PrivPerSec: p.PrivPerSec, MemVirtPerSec: p.MemVirtPerSec,
-			Reads: p.Reads, ReadBytes: p.ReadBytes, Mount: p.Mount,
-			RootOps: p.RootOps, RootBytes: p.RootBytes,
-		}
-		var res guest.TaskResult
-		done := false
-		if err := sess.Run(w, func(r guest.TaskResult) { res = r; done = true }); err != nil {
-			return nil, err
-		}
-		if err := s.pumpUntil(100*sim.Hour, func() bool { return done }); err != nil {
-			return nil, err
-		}
-		if res.Err != nil {
-			return nil, res.Err
-		}
-		return marshal(RunResult{
-			Name:       w.Name,
-			ElapsedSec: res.Elapsed().Seconds(),
-			UserSec:    res.UserSeconds,
-			SysSec:     res.SysSeconds(),
-			Reads:      res.Reads,
-			IOWaitSec:  res.IOWait.Seconds(),
-		})
-
-	case "migrate":
-		p, err := unmarshal[MigrateParams](params)
-		if err != nil {
-			return nil, err
-		}
-		sess, ok := s.sessions[p.Session]
-		if !ok {
-			return nil, fmt.Errorf("%w %q", ErrUnknownSession, p.Session)
-		}
-		var migErr error
-		done := false
-		if err := sess.Migrate(p.Target, func(err error) { migErr = err; done = true }); err != nil {
-			return nil, err
-		}
-		if err := s.pumpUntil(4*sim.Hour, func() bool { return done }); err != nil {
-			return nil, err
-		}
-		if migErr != nil {
-			return nil, migErr
-		}
-		return marshal(sessionInfo(sess))
-
-	case "hibernate":
-		p, err := unmarshal[SessionRef](params)
-		if err != nil {
-			return nil, err
-		}
-		sess, ok := s.sessions[p.Session]
-		if !ok {
-			return nil, fmt.Errorf("%w %q", ErrUnknownSession, p.Session)
-		}
-		var hErr error
-		done := false
-		if err := sess.Hibernate(func(err error) { hErr = err; done = true }); err != nil {
-			return nil, err
-		}
-		if err := s.pumpUntil(sim.Hour, func() bool { return done }); err != nil {
-			return nil, err
-		}
-		if hErr != nil {
-			return nil, hErr
-		}
-		return marshal(sessionInfo(sess))
-
-	case "wake":
-		p, err := unmarshal[SessionRef](params)
-		if err != nil {
-			return nil, err
-		}
-		sess, ok := s.sessions[p.Session]
-		if !ok {
-			return nil, fmt.Errorf("%w %q", ErrUnknownSession, p.Session)
-		}
-		var wErr error
-		done := false
-		if err := sess.Wake(func(err error) { wErr = err; done = true }); err != nil {
-			return nil, err
-		}
-		if err := s.pumpUntil(sim.Hour, func() bool { return done }); err != nil {
-			return nil, err
-		}
-		if wErr != nil {
-			return nil, wErr
-		}
-		return marshal(sessionInfo(sess))
-
-	case "shutdown":
-		p, err := unmarshal[SessionRef](params)
-		if err != nil {
-			return nil, err
-		}
-		sess, ok := s.sessions[p.Session]
-		if !ok {
-			return nil, fmt.Errorf("%w %q", ErrUnknownSession, p.Session)
-		}
-		sess.Shutdown()
-		delete(s.sessions, p.Session)
-		return marshal("ok")
-
-	case "usage":
-		p, err := unmarshal[SessionRef](params)
-		if err != nil {
-			return nil, err
-		}
-		sess, ok := s.sessions[p.Session]
-		if !ok {
-			return nil, fmt.Errorf("%w %q", ErrUnknownSession, p.Session)
-		}
-		u := sess.Usage()
-		return marshal(UsageInfo{
-			Session:           sess.Name(),
-			CPUSeconds:        u.CPUSeconds,
-			GuestUserSeconds:  u.GuestUserSeconds,
-			Efficiency:        u.Efficiency(),
-			DiffBytes:         u.DiffBytes,
-			ImageBytesFetched: u.ImageBytesFetched,
-			DataBytesFetched:  u.DataBytesFetched,
-			WallSeconds:       u.WallSeconds,
-		})
-
-	case "query":
-		p, err := unmarshal[QueryParams](params)
-		if err != nil {
-			return nil, err
-		}
-		entries := s.grid.Info().Select(gis.Kind(p.Kind), nil)
-		out := make([]QueryEntry, 0, len(entries))
-		for _, e := range entries {
-			out = append(out, QueryEntry{Kind: string(e.Kind), Name: e.Name, Attrs: e.Attrs})
-		}
-		return marshal(out)
-
-	case "status":
-		return marshal(s.status())
-
-	case "top":
-		// Scrape first so the snapshot reflects this very instant even
-		// when no other op has run yet.
-		s.grid.Telemetry().Scrape()
-		return marshal(s.top())
-
-	case "alerts":
-		s.grid.Telemetry().Scrape()
-		col := s.grid.Telemetry()
-		info := AlertsInfo{Rules: []AlertRule{}, Firings: []AlertInfo{}}
-		for _, r := range col.Rules() {
-			info.Rules = append(info.Rules, AlertRule{Name: r.Name, Expr: r.Expr})
-		}
-		for _, f := range col.Firings() {
-			info.Firings = append(info.Firings, alertInfo(f))
-		}
-		return marshal(info)
-
-	case "metrics":
-		return marshal(s.grid.Tracer().Metrics().Snapshot())
-
-	case "spans":
-		spans := s.grid.Tracer().Spans()
-		if spans == nil {
-			spans = []obs.SpanRecord{}
-		}
-		return marshal(spans)
-
-	case "trace":
-		p, err := unmarshal[SessionRef](params)
-		if err != nil {
-			return nil, err
-		}
-		sess, ok := s.sessions[p.Session]
-		if !ok {
-			return nil, fmt.Errorf("%w %q", ErrUnknownSession, p.Session)
-		}
-		ctx := sess.TraceContext()
-		info := TraceInfo{Session: sess.Name(), Trace: ctx.Trace.String(), Spans: []obs.SpanRecord{}}
-		if ctx.Valid() {
-			for _, sp := range s.grid.Tracer().Spans() {
-				if sp.Trace == ctx.Trace {
-					info.Spans = append(info.Spans, sp)
-				}
-			}
-			info.Report = obs.Analyze(info.Spans, ctx)
-		}
-		return marshal(info)
-
-	case "incidents":
-		out := []IncidentInfo{}
-		for _, inc := range s.grid.Recorder().Incidents() {
-			out = append(out, incidentInfo(inc))
-		}
-		return marshal(out)
-
-	case "incident":
-		p, err := unmarshal[IncidentRef](params)
-		if err != nil {
-			return nil, err
-		}
-		inc := s.grid.Recorder().Incident(p.ID)
-		if inc == nil {
-			return nil, fmt.Errorf("wire: unknown incident %q", p.ID)
-		}
-		return marshal(inc)
-
-	default:
-		return nil, fmt.Errorf("wire: unknown op %q", op)
+// await starts one asynchronous grid operation and pumps the simulation
+// until its completion callback fires, for at most budget of virtual
+// time. start hands done to the operation; the error done receives is
+// the result.
+func (s *Server) await(budget sim.Duration, start func(done func(error)) error) error {
+	var opErr error
+	finished := false
+	if err := start(func(err error) { opErr, finished = err, true }); err != nil {
+		return err
 	}
+	if err := s.pumpUntil(budget, func() bool { return finished }); err != nil {
+		return err
+	}
+	return opErr
+}
+
+// session returns the live session named name.
+func (s *Server) session(name string) (*core.Session, error) {
+	if sess := s.grid.Session(name); sess != nil {
+		return sess, nil
+	}
+	return nil, fmt.Errorf("%w %q", ErrUnknownSession, name)
+}
+
+// handler serves one op under the grid lock; dispatch marshals the
+// value it returns into the response data.
+type handler func(s *Server, params json.RawMessage) (any, error)
+
+// handlers is the op table. watch is absent: it streams, so handleConn
+// serves it.
+var handlers = map[string]handler{
+	"ping":          bare(func(*Server) string { return "pong" }),
+	"add-node":      decode((*Server).addNode),
+	"connect":       decode((*Server).connect),
+	"install-image": decode((*Server).installImage),
+	"create-data":   decode((*Server).createData),
+	"new-session":   decode((*Server).newSession),
+	"run":           decode((*Server).run),
+	"migrate":       decode((*Server).migrate),
+	"hibernate":     decode((*Server).hibernate),
+	"wake":          decode((*Server).wake),
+	"shutdown":      decode((*Server).shutdown),
+	"usage":         decode((*Server).usage),
+	"query":         decode((*Server).query),
+	"status":        bare((*Server).status),
+	"top":           bare((*Server).scrapedTop),
+	"alerts":        bare((*Server).alerts),
+	"metrics":       bare(func(s *Server) obs.Snapshot { return s.grid.Tracer().Metrics().Snapshot() }),
+	"spans":         bare((*Server).spans),
+	"trace":         decode((*Server).trace),
+	"incidents":     bare((*Server).incidents),
+	"incident":      decode((*Server).incident),
+}
+
+// decode adapts a handler that takes params of type P; a request
+// without params fails with unmarshal's "missing params" error.
+func decode[P any](fn func(*Server, P) (any, error)) handler {
+	return func(s *Server, raw json.RawMessage) (any, error) {
+		p, err := unmarshal[P](raw)
+		if err != nil {
+			return nil, err
+		}
+		return fn(s, p)
+	}
+}
+
+// bare adapts a handler that ignores params and cannot fail.
+func bare[T any](fn func(*Server) T) handler {
+	return func(s *Server, _ json.RawMessage) (any, error) { return fn(s), nil }
+}
+
+// ack is the response of an op with no result of its own.
+func ack(err error) (any, error) {
+	if err != nil {
+		return nil, err
+	}
+	return "ok", nil
+}
+
+func (s *Server) addNode(p AddNodeParams) (any, error) {
+	var role core.Role
+	for _, r := range p.Roles {
+		switch r {
+		case "compute":
+			role |= core.RoleCompute
+		case "image-server":
+			role |= core.RoleImageServer
+		case "data-server":
+			role |= core.RoleDataServer
+		case "front-end":
+			role |= core.RoleFrontEnd
+		default:
+			return nil, fmt.Errorf("wire: unknown role %q", r)
+		}
+	}
+	_, err := s.grid.AddNode(core.NodeConfig{
+		Name: p.Name, Site: p.Site, Role: role,
+		Slots: p.Slots, DHCPPrefix: p.DHCPPrefix,
+	})
+	return ack(err)
+}
+
+func (s *Server) connect(p ConnectParams) (any, error) {
+	switch p.Kind {
+	case "lan", "":
+		return ack(s.grid.Net().ConnectLAN(p.A, p.B))
+	case "wan":
+		return ack(s.grid.Net().ConnectWAN(p.A, p.B))
+	}
+	return nil, fmt.Errorf("wire: unknown link kind %q", p.Kind)
+}
+
+func (s *Server) installImage(p InstallImageParams) (any, error) {
+	node := s.grid.Node(p.Node)
+	if node == nil {
+		return nil, fmt.Errorf("wire: unknown node %q", p.Node)
+	}
+	if p.DiskBytes == 0 {
+		p.DiskBytes = 2 * hw.GB
+	}
+	return ack(node.InstallImage(storage.ImageInfo{
+		Name: p.Name, OS: p.OS, DiskBytes: p.DiskBytes, MemBytes: p.MemBytes,
+	}))
+}
+
+func (s *Server) createData(p CreateDataParams) (any, error) {
+	node := s.grid.Node(p.Node)
+	if node == nil {
+		return nil, fmt.Errorf("wire: unknown node %q", p.Node)
+	}
+	return ack(node.CreateUserData(p.File, p.Bytes))
+}
+
+func (s *Server) newSession(p SessionParams) (any, error) {
+	cfg, err := sessionConfig(p)
+	if err != nil {
+		return nil, err
+	}
+	opts, err := sessionOptions(p)
+	if err != nil {
+		return nil, err
+	}
+	var sess *core.Session
+	if err := s.await(4*sim.Hour, func(done func(error)) error {
+		_, err := s.grid.CreateSession(cfg, func(ss *core.Session, err error) {
+			sess = ss
+			done(err)
+		}, opts...)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	return sessionInfo(sess), nil
+}
+
+func (s *Server) run(p RunParams) (any, error) {
+	if err := p.checkBounds(); err != nil {
+		return nil, err
+	}
+	sess, err := s.session(p.Session)
+	if err != nil {
+		return nil, err
+	}
+	w := guest.Workload{
+		Name: p.Name, CPUSeconds: p.CPUSeconds,
+		PrivPerSec: p.PrivPerSec, MemVirtPerSec: p.MemVirtPerSec,
+		Reads: p.Reads, ReadBytes: p.ReadBytes, Mount: p.Mount,
+		RootOps: p.RootOps, RootBytes: p.RootBytes,
+	}
+	var res guest.TaskResult
+	if err := s.await(100*sim.Hour, func(done func(error)) error {
+		return sess.Run(w, func(r guest.TaskResult) {
+			res = r
+			done(r.Err)
+		})
+	}); err != nil {
+		return nil, err
+	}
+	return RunResult{
+		Name:       w.Name,
+		ElapsedSec: res.Elapsed().Seconds(),
+		UserSec:    res.UserSeconds,
+		SysSec:     res.SysSeconds(),
+		Reads:      res.Reads,
+		IOWaitSec:  res.IOWait.Seconds(),
+	}, nil
+}
+
+// transition runs one session life-cycle step (migrate, hibernate,
+// wake) to completion and describes the session afterwards.
+func (s *Server) transition(name string, budget sim.Duration, step func(*core.Session, func(error)) error) (any, error) {
+	sess, err := s.session(name)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.await(budget, func(done func(error)) error { return step(sess, done) }); err != nil {
+		return nil, err
+	}
+	return sessionInfo(sess), nil
+}
+
+func (s *Server) migrate(p MigrateParams) (any, error) {
+	return s.transition(p.Session, 4*sim.Hour, func(sess *core.Session, done func(error)) error {
+		return sess.Migrate(p.Target, done)
+	})
+}
+
+func (s *Server) hibernate(p SessionRef) (any, error) {
+	return s.transition(p.Session, sim.Hour, (*core.Session).Hibernate)
+}
+
+func (s *Server) wake(p SessionRef) (any, error) {
+	return s.transition(p.Session, sim.Hour, (*core.Session).Wake)
+}
+
+func (s *Server) shutdown(p SessionRef) (any, error) {
+	sess, err := s.session(p.Session)
+	if err != nil {
+		return nil, err
+	}
+	sess.Shutdown()
+	return "ok", nil
+}
+
+func (s *Server) usage(p SessionRef) (any, error) {
+	sess, err := s.session(p.Session)
+	if err != nil {
+		return nil, err
+	}
+	u := sess.Usage()
+	return UsageInfo{
+		Session:           sess.Name(),
+		CPUSeconds:        u.CPUSeconds,
+		GuestUserSeconds:  u.GuestUserSeconds,
+		Efficiency:        u.Efficiency(),
+		DiffBytes:         u.DiffBytes,
+		ImageBytesFetched: u.ImageBytesFetched,
+		DataBytesFetched:  u.DataBytesFetched,
+		WallSeconds:       u.WallSeconds,
+	}, nil
+}
+
+func (s *Server) query(p QueryParams) (any, error) {
+	entries := s.grid.Info().Select(gis.Kind(p.Kind), nil)
+	out := make([]QueryEntry, 0, len(entries))
+	for _, e := range entries {
+		out = append(out, QueryEntry{Kind: string(e.Kind), Name: e.Name, Attrs: e.Attrs})
+	}
+	return out, nil
+}
+
+// scrapedTop scrapes first so the snapshot reflects this very instant
+// even when no other op has run yet.
+func (s *Server) scrapedTop() TopInfo {
+	s.grid.Telemetry().Scrape()
+	return s.top()
+}
+
+func (s *Server) alerts() AlertsInfo {
+	col := s.grid.Telemetry()
+	col.Scrape()
+	info := AlertsInfo{Rules: []AlertRule{}, Firings: []AlertInfo{}}
+	for _, r := range col.Rules() {
+		info.Rules = append(info.Rules, AlertRule{Name: r.Name, Expr: r.Expr})
+	}
+	for _, f := range col.Firings() {
+		info.Firings = append(info.Firings, alertInfo(f))
+	}
+	return info
+}
+
+func (s *Server) spans() []obs.SpanRecord {
+	if spans := s.grid.Tracer().Spans(); spans != nil {
+		return spans
+	}
+	return []obs.SpanRecord{}
+}
+
+func (s *Server) trace(p SessionRef) (any, error) {
+	sess, err := s.session(p.Session)
+	if err != nil {
+		return nil, err
+	}
+	ctx := sess.TraceContext()
+	info := TraceInfo{Session: sess.Name(), Trace: ctx.Trace.String(), Spans: []obs.SpanRecord{}}
+	if ctx.Valid() {
+		for _, sp := range s.grid.Tracer().Spans() {
+			if sp.Trace == ctx.Trace {
+				info.Spans = append(info.Spans, sp)
+			}
+		}
+		info.Report = obs.Analyze(info.Spans, ctx)
+	}
+	return info, nil
+}
+
+func (s *Server) incidents() []IncidentInfo {
+	out := []IncidentInfo{}
+	for _, inc := range s.grid.Recorder().Incidents() {
+		out = append(out, incidentInfo(inc))
+	}
+	return out
+}
+
+func (s *Server) incident(p IncidentRef) (any, error) {
+	inc := s.grid.Recorder().Incident(p.ID)
+	if inc == nil {
+		return nil, fmt.Errorf("wire: unknown incident %q", p.ID)
+	}
+	return inc, nil
 }
 
 func sessionConfig(p SessionParams) (core.SessionConfig, error) {
@@ -720,13 +721,8 @@ func (s *Server) status() StatusInfo {
 			Files:    n.Store().Files(),
 		})
 	}
-	var sessNames []string
-	for name := range s.sessions {
-		sessNames = append(sessNames, name)
-	}
-	sort.Strings(sessNames)
-	for _, name := range sessNames {
-		st.Sessions = append(st.Sessions, sessionInfo(s.sessions[name]))
+	for _, sess := range s.grid.LiveSessions() {
+		st.Sessions = append(st.Sessions, sessionInfo(sess))
 	}
 	return st
 }
@@ -782,13 +778,7 @@ func (s *Server) top() TopInfo {
 		}
 		info.Nodes = append(info.Nodes, row)
 	}
-	var sessNames []string
-	for name := range s.sessions {
-		sessNames = append(sessNames, name)
-	}
-	sort.Strings(sessNames)
-	for _, name := range sessNames {
-		sess := s.sessions[name]
+	for _, sess := range s.grid.LiveSessions() {
 		row := TopSession{Name: sess.Name(), State: sess.State().String()}
 		if sess.Node() != nil {
 			row.Node = sess.Node().Name()
@@ -800,19 +790,9 @@ func (s *Server) top() TopInfo {
 		row.GuestSec = u.GuestUserSeconds
 		row.WallSeconds = u.WallSeconds
 		row.Epoch = sess.Epoch()
-		var hits, misses, retries uint64
-		for _, c := range []*vfs.Client{sess.DataClient(), sess.ImageClient()} {
-			if c == nil {
-				continue
-			}
-			hits += c.Hits()
-			misses += c.Misses()
-			retries += c.Retries()
-		}
-		if hits+misses > 0 {
-			row.VFSHitRate = float64(hits) / float64(hits+misses)
-		}
-		row.VFSRetries = retries
+		v := sess.VFSTotals()
+		row.VFSHitRate, _ = v.HitRate()
+		row.VFSRetries = v.Retries
 		info.Sessions = append(info.Sessions, row)
 	}
 	if p := s.grid.ChunkPlane(); p != nil {

@@ -129,6 +129,16 @@ const (
 	MaxRunRootBytes  = 4 << 30
 )
 
+// Bounds on virtual time. A watch request spaces its frames at most
+// MaxWatchEverySec apart (the run op's horizon again), and no op or
+// watch frame moves the served grid's clock past MaxVirtualSec (ten
+// years). Every event a bounded request can schedule then stays far
+// below the kernel clock's int64 overflow.
+const (
+	MaxWatchEverySec = MaxRunCPUSeconds
+	MaxVirtualSec    = 10 * 365 * 24 * 3600
+)
+
 // checkBounds rejects a workload above the Max* limits.
 func (p RunParams) checkBounds() error {
 	// Written as !(v <= max) so a NaN CPU time is rejected too.
@@ -329,6 +339,14 @@ type IncidentInfo struct {
 type WatchParams struct {
 	Count    int     `json:"count"`
 	EverySec float64 `json:"everySec,omitempty"`
+}
+
+// checkBounds rejects frames spaced more than MaxWatchEverySec apart.
+func (p WatchParams) checkBounds() error {
+	if p.EverySec > MaxWatchEverySec {
+		return fmt.Errorf("wire: watch everySec %g exceeds %d", p.EverySec, MaxWatchEverySec)
+	}
+	return nil
 }
 
 func marshal(v any) (json.RawMessage, error) {

@@ -27,6 +27,13 @@ func startServer(t *testing.T) *Client {
 // buildFabric assembles the standard two-site deployment over the wire.
 func buildFabric(t *testing.T, c *Client) {
 	t.Helper()
+	if err := buildDemo(c.api); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// buildDemo assembles the standard two-site deployment through a.
+func buildDemo(a api) error {
 	nodes := []AddNodeParams{
 		{Name: "front", Site: "nwu", Roles: []string{"front-end"}},
 		{Name: "compute1", Site: "nwu", Roles: []string{"compute"}, Slots: 2, DHCPPrefix: "10.1.0."},
@@ -35,33 +42,31 @@ func buildFabric(t *testing.T, c *Client) {
 		{Name: "images", Site: "ufl", Roles: []string{"image-server"}},
 	}
 	for _, n := range nodes {
-		if err := c.AddNode(n); err != nil {
-			t.Fatal(err)
+		if err := a.AddNode(n); err != nil {
+			return err
 		}
 	}
 	lan := []string{"front", "compute1", "compute2", "data"}
-	for i, a := range lan {
-		for _, b := range lan[i+1:] {
-			if err := c.Connect(a, b, "lan"); err != nil {
-				t.Fatal(err)
+	for i, x := range lan {
+		for _, y := range lan[i+1:] {
+			if err := a.Connect(x, y, "lan"); err != nil {
+				return err
 			}
 		}
 	}
-	for _, a := range []string{"front", "compute1", "compute2"} {
-		if err := c.Connect(a, "images", "wan"); err != nil {
-			t.Fatal(err)
+	for _, x := range []string{"front", "compute1", "compute2"} {
+		if err := a.Connect(x, "images", "wan"); err != nil {
+			return err
 		}
 	}
 	img := InstallImageParams{Name: "rh72", OS: "redhat-7.2", DiskBytes: 2 << 30, MemBytes: 128 << 20}
 	for _, node := range []string{"compute1", "compute2", "images"} {
 		img.Node = node
-		if err := c.InstallImage(img); err != nil {
-			t.Fatal(err)
+		if err := a.InstallImage(img); err != nil {
+			return err
 		}
 	}
-	if err := c.CreateData(CreateDataParams{Node: "data", File: "dataset", Bytes: 1 << 30}); err != nil {
-		t.Fatal(err)
-	}
+	return a.CreateData(CreateDataParams{Node: "data", File: "dataset", Bytes: 1 << 30})
 }
 
 func TestPing(t *testing.T) {
@@ -174,6 +179,66 @@ func TestRunRejectsOversizedWorkload(t *testing.T) {
 	}
 	if res.UserSec != 30 || res.Reads != 50 {
 		t.Errorf("run result %+v", res)
+	}
+}
+
+// TestWatchCannotOverflowClock: no sequence of bounded requests moves
+// the kernel clock near int64 overflow. A watch spaced beyond
+// MaxWatchEverySec once jumped the clock to seconds short of overflow,
+// and the next run scheduled an event "before now" and crashed the
+// daemon. Now that watch is refused before any frame, frames stop at
+// the MaxVirtualSec horizon, and so does a run that would cross it.
+func TestWatchCannotOverflowClock(t *testing.T) {
+	c := startServer(t)
+	buildFabric(t, c)
+	info, err := c.NewSession(SessionParams{
+		User: "alice", FrontEnd: "front", Image: "rh72",
+		Mode: "restore", Disk: "non-persistent", Access: "local",
+		DataNode: "data", DataFile: "dataset",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := 0
+	count := func(TopInfo) error { frames++; return nil }
+	if err := c.Watch(2, 9223372036840, count); err == nil || !strings.Contains(err.Error(), "everySec") {
+		t.Errorf("watch at 9223372036840 s spacing: err = %v, want a bound error naming everySec", err)
+	}
+	if frames != 0 {
+		t.Errorf("refused watch sent %d frames", frames)
+	}
+	run := func(cpu float64) error {
+		_, err := c.Run(RunParams{Session: info.Name, Name: "j", CPUSeconds: cpu})
+		return err
+	}
+	if err := run(5); err != nil {
+		t.Fatalf("run after the refused watch: %v", err)
+	}
+
+	// Frames at the widest spacing run up to the horizon, then one error
+	// frame ends the stream.
+	frames = 0
+	err = c.Watch(MaxVirtualSec/MaxWatchEverySec+2, MaxWatchEverySec, count)
+	if err == nil || !strings.Contains(err.Error(), "horizon") {
+		t.Fatalf("watch across the horizon: err = %v, want a horizon error", err)
+	}
+	if frames < MaxVirtualSec/MaxWatchEverySec-1 {
+		t.Errorf("watch stopped after %d frames, before the horizon", frames)
+	}
+	// Short of the horizon a run still completes; one that would cross
+	// it fails instead of moving the clock past it.
+	if err := run(5); err != nil {
+		t.Fatalf("run below the horizon: %v", err)
+	}
+	if err := run(MaxRunCPUSeconds); err == nil || !strings.Contains(err.Error(), "horizon") {
+		t.Errorf("run across the horizon: err = %v, want a horizon error", err)
+	}
+	st, err := c.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.VirtualSec > MaxVirtualSec {
+		t.Errorf("clock at %.0f s, past the %d s horizon", st.VirtualSec, MaxVirtualSec)
 	}
 }
 
